@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class Phase(str, enum.Enum):
@@ -311,11 +311,6 @@ class SLOSpec:
         return metrics.value_for(slo_type) <= self.deadline_for(slo_type)
 
 
-def iter_finished(metrics: list[RequestMetrics]) -> Iterator[RequestMetrics]:
-    """Yield only the finished entries of a metrics list."""
-    return (m for m in metrics if m.finished)
-
-
 __all__ = [
     "Phase",
     "SLOType",
@@ -324,5 +319,4 @@ __all__ = [
     "RequestOutcome",
     "OUTCOME_NAMES",
     "SLOSpec",
-    "iter_finished",
 ]

@@ -24,6 +24,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.exceptions import ConfigurationError, SchedulingError
 from repro.core.rng import ensure_rng
 from repro.core.types import RequestMetrics, RequestOutcome, SLOType
@@ -44,7 +46,7 @@ from repro.scheduling.scheduler import SchedulerConfig
 from repro.serving.live import LiveServeConfig, LiveServer, WindowTelemetry
 from repro.serving.system import ThunderServe
 from repro.simulation.engine import SimulatorConfig
-from repro.simulation.metrics import SimulationResult, merge_results
+from repro.simulation.metrics import MetricArrays, SimulationResult, merge_results
 from repro.utils.tables import format_table
 from repro.workload.trace import Trace
 
@@ -464,16 +466,17 @@ class ScenarioSweep:
     ) -> Dict[str, float]:
         """E2E attainment of each tenant's requests at its own SLO tier."""
         per_tenant: Dict[str, float] = {}
+        a = result.arrays
         for tier in scenario.tiers:
-            tag = f"tenant:{tier.tenant}"
-            metrics = [m for m in result.metrics if m.request.workload == tag]
-            if not metrics:
+            rows = a.workload == f"tenant:{tier.tenant}"
+            total = int(np.count_nonzero(rows))
+            if not total:
                 per_tenant[tier.tenant] = 0.0
                 continue
             reference = a100_reference_latency(model, tier.workload, params=self.params)
             slo = reference.slo_spec(tier.slo_scale)
-            hits = sum(1 for m in metrics if slo.is_met(m, SLOType.E2E))
-            per_tenant[tier.tenant] = hits / len(metrics)
+            hits = int(np.count_nonzero(rows & a.meets(slo, SLOType.E2E)))
+            per_tenant[tier.tenant] = hits / total
         return per_tenant
 
     # ------------------------------------------------------------------ reporting
@@ -541,7 +544,7 @@ def _outage_result(window: Trace, label: str) -> SimulationResult:
     arrivals = [request.arrival_time for request in window]
     duration = (max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0
     return SimulationResult(
-        metrics=metrics,
+        MetricArrays.from_metrics(metrics),
         makespan=max(arrivals) if arrivals else 0.0,
         trace_duration=duration,
         label=label,

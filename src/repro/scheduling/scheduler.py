@@ -10,7 +10,7 @@ deployment plan together with the search trace (the Figure 10 convergence data).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import SchedulingError
@@ -59,10 +59,6 @@ class SchedulerConfig:
     seed: int = 0
     #: optional explicit number of initial groups (None = derived from memory needs)
     initial_num_groups: Optional[int] = None
-
-    def with_tabu(self, **kwargs) -> "SchedulerConfig":
-        """Return a copy with modified tabu-search parameters."""
-        return replace(self, tabu=replace(self.tabu, **kwargs))
 
 
 @dataclass

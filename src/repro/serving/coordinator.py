@@ -53,14 +53,7 @@ class RequestCoordinator:
         self._dispatched = 0
         self._records: Dict[int, DispatchRecord] = {}
         self._outstanding: Dict[int, int] = {gid: 0 for gid in routing.prefill_group_ids}
-        # Per-workload-tag accounting: dispatched and shed request counts keyed
-        # by ``Request.workload`` (e.g. ``"tenant:gold"``), feeding the live
-        # loop's per-tenant telemetry and admission bookkeeping.
-        self._dispatched_by_tag: Dict[str, int] = {}
         self._shed = 0
-        self._shed_by_tag: Dict[str, int] = {}
-        self._outage_dropped = 0
-        self._outage_dropped_by_tag: Dict[str, int] = {}
         # Run-level ledger over the typed RequestOutcome taxonomy: engine
         # outcomes fold in through record_outcomes(); shed / outage drops
         # (which never reach the engine) through their record_* calls.
@@ -90,19 +83,15 @@ class RequestCoordinator:
         self._records[request.request_id] = record
         self._outstanding[prefill_id] += 1
         self._dispatched += 1
-        tag = request.workload or ""
-        self._dispatched_by_tag[tag] = self._dispatched_by_tag.get(tag, 0) + 1
         return prefill_id, decode_id
 
     def record_shed(self, request: Request) -> None:
         """Account for a request the admission front-end refused to dispatch.
 
         Shed requests never reach a replica; they are tracked separately so
-        telemetry can report the admitted vs. refused mix per workload tag.
+        telemetry can report the admitted vs. refused mix.
         """
         self._shed += 1
-        tag = request.workload or ""
-        self._shed_by_tag[tag] = self._shed_by_tag.get(tag, 0) + 1
         self._outcome_totals["shed"] += 1
 
     def record_outage_drop(self, request: Request) -> None:
@@ -110,12 +99,9 @@ class RequestCoordinator:
 
         Unlike shed requests (a deliberate admission decision), outage drops
         arrive while no GPU is alive to serve them; the live loop records them
-        as zero-attainment misses and this counter keeps the per-tag ledger
+        as zero-attainment misses and this call keeps the outcome ledger
         complete.
         """
-        self._outage_dropped += 1
-        tag = request.workload or ""
-        self._outage_dropped_by_tag[tag] = self._outage_dropped_by_tag.get(tag, 0) + 1
         self._outcome_totals["dropped_outage"] += 1
 
     def record_outcomes(self, counts: Dict[str, int]) -> None:
@@ -152,26 +138,6 @@ class RequestCoordinator:
         return self._shed
 
     @property
-    def dispatched_by_tag(self) -> Dict[str, int]:
-        """Dispatched request counts keyed by ``Request.workload`` tag."""
-        return dict(self._dispatched_by_tag)
-
-    @property
-    def shed_by_tag(self) -> Dict[str, int]:
-        """Shed request counts keyed by ``Request.workload`` tag."""
-        return dict(self._shed_by_tag)
-
-    @property
-    def num_outage_dropped(self) -> int:
-        """Total number of requests lost to total-capacity outage windows."""
-        return self._outage_dropped
-
-    @property
-    def outage_dropped_by_tag(self) -> Dict[str, int]:
-        """Outage-dropped request counts keyed by ``Request.workload`` tag."""
-        return dict(self._outage_dropped_by_tag)
-
-    @property
     def outcome_totals(self) -> Dict[str, int]:
         """Run-level request count per :class:`~repro.core.types.RequestOutcome` name."""
         return dict(self._outcome_totals)
@@ -179,21 +145,6 @@ class RequestCoordinator:
     def outstanding(self, prefill_group_id: int) -> int:
         """Outstanding (dispatched, not completed) requests of one prefill replica."""
         return self._outstanding[prefill_group_id]
-
-    def realised_prefill_shares(self) -> Dict[int, float]:
-        """Realised share of requests per prefill replica (compare against ``X``)."""
-        if self._dispatched == 0:
-            return {gid: 0.0 for gid in self.routing.prefill_group_ids}
-        counts: Dict[int, int] = {gid: 0 for gid in self.routing.prefill_group_ids}
-        for record in self._records.values():
-            counts[record.prefill_group_id] += 1
-        # Records only hold outstanding requests; rebuild totals from deficits instead.
-        planned = {gid: float(x) for gid, x in zip(self.routing.prefill_group_ids, self.routing.x)}
-        realised = {
-            gid: planned[gid] - float(d) / self._dispatched
-            for gid, d in zip(self.routing.prefill_group_ids, self._prefill_deficit)
-        }
-        return realised
 
     def update_routing(self, routing: RoutingPolicy) -> None:
         """Install a new routing policy (after a lightweight rescheduling)."""

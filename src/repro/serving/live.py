@@ -75,7 +75,7 @@ from repro.serving.slo_objectives import (
     resolve_slo_objectives,
 )
 from repro.serving.system import ThunderServe
-from repro.simulation.metrics import SimulationResult, merge_results
+from repro.simulation.metrics import MetricArrays, SimulationResult, merge_results
 from repro.workload.trace import Trace
 
 
@@ -279,7 +279,7 @@ class LiveServeConfig:
         events.
     reschedule_on_shift:
         Fall back to the workload profiler's shift detector in windows without
-        breaches (the original ``serve_adaptive`` trigger).
+        breaches.
     validate_reschedule:
         Shadow-validate every rescheduling candidate by replaying the window
         just served under it: the candidate is adopted only when it strictly
@@ -704,17 +704,16 @@ class LiveServer:
     ) -> WindowTelemetry:
         """Build the telemetry record of one served window."""
         slo = self.system.slo
-        finished = result.finished
-        queue_waits = [m.queue_time for m in finished]
+        a = result.arrays
+        fin = a.finished
+        queue_waits = a.prefill_start[fin] - a.arrival_time[fin]
+        met = a.meets(slo, SLOType.E2E)
         per_tenant: Dict[str, float] = {}
-        tenant_metrics: Dict[str, List] = {}
-        for m in result.metrics:
-            tag = m.request.workload or ""
-            if tag.startswith("tenant:"):
-                tenant_metrics.setdefault(tag.split(":", 1)[1], []).append(m)
-        for tenant, metrics in sorted(tenant_metrics.items()):
-            hits = sum(1 for m in metrics if slo.is_met(m, SLOType.E2E))
-            per_tenant[tenant] = hits / len(metrics)
+        for tag in sorted(set(a.workload.tolist())):
+            if tag and tag.startswith("tenant:"):
+                rows = a.workload == tag
+                hits = int(np.count_nonzero(met & rows))
+                per_tenant[tag.split(":", 1)[1]] = hits / int(np.count_nonzero(rows))
         outcome_counts = {k: int(v) for k, v in result.outcome_counts().items()}
         outcome_counts["shed"] = outcome_counts.get("shed", 0) + num_shed
         return WindowTelemetry(
@@ -730,7 +729,7 @@ class LiveServer:
             attainment_e2e=result.slo_attainment(slo, SLOType.E2E),
             attainment_ttft=result.slo_attainment(slo, SLOType.TTFT),
             attainment_tpot=result.slo_attainment(slo, SLOType.TPOT),
-            mean_queue_wait=float(np.mean(queue_waits)) if queue_waits else 0.0,
+            mean_queue_wait=float(np.mean(queue_waits)) if queue_waits.size else 0.0,
             completion_rate=result.completion_rate,
             estimated_rho=health.rho,
             estimated_attainment=health.attainment,
@@ -1032,7 +1031,7 @@ class LiveServer:
             )
         arrivals = [r.arrival_time for r in window]
         result = SimulationResult(
-            metrics=metrics,
+            MetricArrays.from_metrics(metrics),
             makespan=end,
             trace_duration=(max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0,
             label=f"{label}[{index}]",

@@ -199,43 +199,6 @@ class ThunderServe:
         self.profiler.observe_many(trace)
         return self._simulator.run(trace, label=label, faults=faults, retry=retry)
 
-    def serve_adaptive(
-        self,
-        trace: Trace,
-        window_s: float = 60.0,
-        label: str = "thunderserve-adaptive",
-    ) -> List[SimulationResult]:
-        """Serve a trace in windows, lightweight-rescheduling when the workload shifts.
-
-        Each window is served with the plan current at its start; between windows
-        the workload profiler checks for a shift and, if one is detected, the
-        lightweight rescheduler re-designates phases and re-orchestrates using the
-        *observed* workload statistics.  Returns the per-window simulation results.
-        """
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        plan = self.require_plan()
-        results: List[SimulationResult] = []
-        if trace.is_empty:
-            return results
-        start = trace[0].arrival_time
-        end = trace[-1].arrival_time
-        window_start = start
-        while window_start <= end:
-            window = trace.window(window_start, window_start + window_s)
-            if not window.is_empty:
-                results.append(self.serve(window, label=f"{label}[{window_start:.0f}s]"))
-                shift = self.profiler.detect_shift()
-                if shift is not None:
-                    self._reschedule_for_workload(shift)
-            window_start += window_s
-        return results
-
-    def _reschedule_for_workload(self, shift) -> None:
-        self.reschedule_online(
-            stats=shift.current, reason=f"lightweight rescheduling ({shift.describe()})"
-        )
-
     def reschedule_online(
         self,
         stats=None,
@@ -245,11 +208,10 @@ class ThunderServe:
         """Run the §3.4 lightweight rescheduler against *observed* statistics.
 
         This is the online entry point the live serving loop calls on an SLO
-        breach (and the path ``serve_adaptive`` takes on a detected workload
-        shift).  The profiler's current window statistics are used unless
-        ``stats`` is given explicitly; the resulting plan is installed and the
-        profiler's reference is re-pinned to the statistics the new plan was
-        built for.
+        breach or a detected workload shift.  The profiler's current window
+        statistics are used unless ``stats`` is given explicitly; the resulting
+        plan is installed and the profiler's reference is re-pinned to the
+        statistics the new plan was built for.
 
         The replanning rate is floored at the provisioned ``request_rate``:
         observing a quiet window (a diurnal trough, a lull between bursts) must

@@ -37,7 +37,7 @@ from repro.kvcache.paged import PagedKVCache
 from repro.model.architecture import ModelConfig
 from repro.parallelism.config import ReplicaPlan
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.metrics import SimulationResult
+from repro.simulation.metrics import MetricArrays, SimulationResult
 from repro.workload.trace import Trace
 
 
@@ -142,7 +142,7 @@ class ColocatedSimulator:
 
         metrics = [self._metrics[rid] for rid in sorted(self._metrics)]
         return SimulationResult(
-            metrics=metrics,
+            MetricArrays.from_metrics(metrics),
             makespan=self._clock,
             trace_duration=trace.duration,
             label=label,

@@ -709,6 +709,8 @@ class ServingSimulator:
         run drops later arrivals entirely, like the per-event engine).  Columns
         are reordered by request id when the ingested ids are not already
         strictly increasing, matching the reference engine's sorted output.
+        Workload tags come from ``requests`` when the run replayed a trace,
+        else from the per-chunk tags of the ingested stream.
         """
         n = self._cursor
         ids = self._req_id[:n]
@@ -719,12 +721,20 @@ class ServingSimulator:
         def col(a: np.ndarray) -> np.ndarray:
             return a[:n].copy() if order is None else a[:n][order]
 
+        workload = np.empty(n, dtype=object)
+        if requests is not None:
+            workload[:] = [r.workload for r in requests[:n]]
+        else:
+            stops = [start for start, _ in self._workload_spans[1:]] + [n]
+            for (start, tag), stop in zip(self._workload_spans, stops):
+                workload[start:stop] = tag
         arr_col = col(self._arr)
         arrays = MetricArrays(
             request_id=col(self._req_id),
             arrival_time=arr_col,
             input_length=col(self._inlen),
             output_length=col(self._outlen),
+            workload=col(workload),
             # The per-event engine sets enqueue_time to the arrival-event time,
             # which is exactly the arrival column: share it.
             enqueue_time=arr_col,
@@ -738,23 +748,12 @@ class ServingSimulator:
             outcome=col(self._m_out),
             attempts=col(self._att),
         )
-        backing: Optional[List[Request]] = None
-        if requests is not None:
-            backing = list(requests[:n])
-            if order is not None:
-                backing = [backing[i] for i in order.tolist()]
         if trace_duration is None:
             trace_duration = (
                 float(self._arr[self._n - 1] - self._arr[0]) if self._n >= 2 else 0.0
             )
-        return SimulationResult.from_arrays(
-            arrays,
-            makespan=self._clock,
-            trace_duration=trace_duration,
-            label=label,
-            requests=backing,
-            workload_spans=list(self._workload_spans),
-            row_order=order,
+        return SimulationResult(
+            arrays, makespan=self._clock, trace_duration=trace_duration, label=label
         )
 
     # ----------------------------------------------------- prefill (fast engine)
@@ -1503,7 +1502,7 @@ class ServingSimulator:
                 raise SimulationError(f"unexpected event kind {event.kind}")
         metrics = [self._metrics[rid] for rid in sorted(self._metrics)]
         return SimulationResult(
-            metrics=metrics,
+            MetricArrays.from_metrics(metrics),
             makespan=self._clock,
             trace_duration=trace.duration,
             label=label,

@@ -7,25 +7,22 @@ The paper's evaluation reports two families of numbers:
 * **throughput** — generated tokens (or requests) per second (Figures 6, 9,
   Tables 5 and 8).
 
-:class:`SimulationResult` wraps the per-request metrics produced by a simulator
-run and exposes those aggregates.  The result is backed by one of two storages:
-
-* a list of :class:`~repro.core.types.RequestMetrics` objects (the reference
-  engine, windowed serving, and hand-built results), or
-* a :class:`MetricArrays` column block (the fast engine's struct-of-arrays
-  output), in which case aggregates are computed vectorized and the object list
-  is only materialized on first access to :attr:`SimulationResult.metrics` —
-  a million-request run aggregates without ever building a million objects.
-
-Both storages describe the same requests, so every aggregate is identical
-(bitwise) whichever backing a result carries.
+:class:`SimulationResult` wraps the per-request metrics of a simulator run and
+exposes those aggregates.  Its one storage is a :class:`MetricArrays` column
+block: the fast engine writes the columns directly, and every object-based
+producer (the reference engine, the co-located simulator, outage windows) goes
+through the single :meth:`MetricArrays.from_metrics` adapter.  Aggregates are
+computed vectorized over the columns; :attr:`SimulationResult.metrics` is a lazy
+view that builds :class:`~repro.core.types.RequestMetrics` objects on first
+access — a million-request run aggregates without ever building a million
+objects.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,31 +36,9 @@ from repro.core.types import (
     SLOType,
 )
 
-
-def summarize_requests(metrics: Sequence[RequestMetrics]) -> Dict[str, float]:
-    """Mean latency components over the finished requests of a run."""
-    finished = [m for m in metrics if m.finished]
-    if not finished:
-        return {
-            "num_finished": 0.0,
-            "mean_ttft": float("nan"),
-            "mean_tpot": float("nan"),
-            "mean_e2e": float("nan"),
-            "mean_queue": float("nan"),
-            "mean_prefill": float("nan"),
-            "mean_kv_transfer": float("nan"),
-            "mean_decode": float("nan"),
-        }
-    return {
-        "num_finished": float(len(finished)),
-        "mean_ttft": float(np.mean([m.ttft for m in finished])),
-        "mean_tpot": float(np.mean([m.tpot for m in finished])),
-        "mean_e2e": float(np.mean([m.e2e_latency for m in finished])),
-        "mean_queue": float(np.mean([m.queue_time for m in finished])),
-        "mean_prefill": float(np.mean([m.prefill_time for m in finished])),
-        "mean_kv_transfer": float(np.mean([m.kv_transfer_time for m in finished])),
-        "mean_decode": float(np.mean([m.decode_time for m in finished])),
-    }
+#: replica-id column value of a request never routed to a replica
+#: (``None`` on the :class:`~repro.core.types.RequestMetrics` view)
+NO_REPLICA = -1
 
 
 @dataclass
@@ -75,13 +50,16 @@ class MetricArrays:
     fast engine writes these columns directly, so a run never holds per-request
     Python objects.  Derived latencies (TTFT / TPOT / E2E and the component
     breakdown) are computed vectorized with exactly the float64 operations of
-    the scalar :class:`~repro.core.types.RequestMetrics` properties, keeping
-    array-backed aggregates bitwise-identical to object-backed ones.
+    the scalar :class:`~repro.core.types.RequestMetrics` properties, so every
+    aggregate equals (bitwise) the one computed over the object view.
 
     Parameters
     ----------
     request_id, arrival_time, input_length, output_length:
         The request columns (``int64`` / ``float64`` / ``int64`` / ``int64``).
+    workload:
+        Workload tag per request (``object`` array of ``str``, the
+        :attr:`~repro.core.types.Request.workload` of each row).
     enqueue_time, prefill_start, first_token_time, kv_transfer_done, \
 completion_time:
         Absolute event timestamps per request (``float64``; zero where the
@@ -89,21 +67,21 @@ completion_time:
     finished:
         Completion flags (``bool``).
     prefill_replica, decode_replica:
-        Serving-group ids the request was routed to (``int64``).
+        Serving-group ids the request was routed to (``int64``;
+        :data:`NO_REPLICA` for a request never routed).
     outcome:
         Typed terminal disposition per request (``int64``,
-        :class:`~repro.core.types.RequestOutcome` values).  Producers
-        predating the taxonomy may omit it; it is then derived from
-        ``finished`` (finished → ``FINISHED``, else ``PENDING``).
+        :class:`~repro.core.types.RequestOutcome` values).
     attempts:
         Number of fault dispositions per request (``int64``; zero when the
-        run saw no faults).  Defaults to all-zero when omitted.
+        run saw no faults).
     """
 
     request_id: np.ndarray
     arrival_time: np.ndarray
     input_length: np.ndarray
     output_length: np.ndarray
+    workload: np.ndarray
     enqueue_time: np.ndarray
     prefill_start: np.ndarray
     first_token_time: np.ndarray
@@ -112,23 +90,51 @@ completion_time:
     finished: np.ndarray
     prefill_replica: np.ndarray
     decode_replica: np.ndarray
-    outcome: Optional[np.ndarray] = None
-    attempts: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.outcome is None:
-            self.outcome = np.where(
-                self.finished, int(RequestOutcome.FINISHED), int(RequestOutcome.PENDING)
-            ).astype(np.int64)
-        if self.attempts is None:
-            self.attempts = np.zeros(self.request_id.size, dtype=np.int64)
+    outcome: np.ndarray
+    attempts: np.ndarray
 
     def __len__(self) -> int:
         return self.request_id.size
 
+    @classmethod
+    def from_metrics(cls, metrics: Sequence[RequestMetrics]) -> "MetricArrays":
+        """Column block of a :class:`RequestMetrics` list, in list order.
+
+        Outcomes are stored resolved
+        (:meth:`~repro.core.types.RequestMetrics.resolved_outcome`) and a
+        ``None`` replica id as :data:`NO_REPLICA`.
+        """
+        n = len(metrics)
+
+        def column(values: Iterable, dtype) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=n)
+
+        def replica(group_id: Optional[int]) -> int:
+            return NO_REPLICA if group_id is None else group_id
+
+        requests = [m.request for m in metrics]
+        workload = np.empty(n, dtype=object)
+        workload[:] = [r.workload for r in requests]
+        return cls(
+            request_id=column((r.request_id for r in requests), np.int64),
+            arrival_time=column((r.arrival_time for r in requests), np.float64),
+            input_length=column((r.input_length for r in requests), np.int64),
+            output_length=column((r.output_length for r in requests), np.int64),
+            workload=workload,
+            enqueue_time=column((m.enqueue_time for m in metrics), np.float64),
+            prefill_start=column((m.prefill_start for m in metrics), np.float64),
+            first_token_time=column((m.first_token_time for m in metrics), np.float64),
+            kv_transfer_done=column((m.kv_transfer_done for m in metrics), np.float64),
+            completion_time=column((m.completion_time for m in metrics), np.float64),
+            finished=column((m.finished for m in metrics), bool),
+            prefill_replica=column((replica(m.prefill_replica) for m in metrics), np.int64),
+            decode_replica=column((replica(m.decode_replica) for m in metrics), np.int64),
+            outcome=column((int(m.resolved_outcome()) for m in metrics), np.int64),
+            attempts=column((m.attempts for m in metrics), np.int64),
+        )
+
     def outcome_counts(self) -> Dict[str, int]:
         """Request count per :class:`~repro.core.types.RequestOutcome` name."""
-        assert self.outcome is not None
         counts = np.bincount(self.outcome, minlength=len(OUTCOME_NAMES))
         return {name: int(counts[i]) for i, name in enumerate(OUTCOME_NAMES)}
 
@@ -157,59 +163,38 @@ completion_time:
             return self.tpot()
         return self.e2e_latency()
 
-    # ------------------------------------------------------------------ objects
-    def materialize(
-        self,
-        requests: Optional[Sequence[Request]] = None,
-        workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
-        row_order: Optional[np.ndarray] = None,
-    ) -> List[RequestMetrics]:
-        """Build the equivalent :class:`RequestMetrics` list.
+    def meets(self, slo: SLOSpec, slo_type: SLOType) -> np.ndarray:
+        """Per-request :meth:`~repro.core.types.SLOSpec.is_met` flags."""
+        return self.finished & (self.value_for(slo_type) <= slo.deadline_for(slo_type))
 
-        Parameters
-        ----------
-        requests:
-            Backing :class:`Request` objects in column order (e.g. the original
-            trace requests); synthesized from the columns when omitted.
-        workload_spans:
-            ``(first_row, tag)`` pairs describing the workload tag of
-            contiguous ingestion-row ranges, used to tag synthesized requests.
-        row_order:
-            When the columns were reordered from ingestion order (sorted by
-            request id), the ingestion row behind each column position — lets
-            ``workload_spans`` (which speak ingestion rows) resolve correctly.
-        """
+    # ------------------------------------------------------------------ objects
+    def materialize(self) -> List[RequestMetrics]:
+        """Build the equivalent :class:`RequestMetrics` list (with its requests)."""
         n = len(self)
         ids = self.request_id.tolist()
         arrivals = self.arrival_time.tolist()
         inputs = self.input_length.tolist()
         outputs = self.output_length.tolist()
-        if requests is None:
-            tags = self._resolve_workloads(n, workload_spans, row_order)
-            requests = [
-                Request(
-                    request_id=ids[i],
-                    arrival_time=arrivals[i],
-                    input_length=inputs[i],
-                    output_length=outputs[i],
-                    workload=tags[i],
-                )
-                for i in range(n)
-            ]
+        tags = self.workload.tolist()
         enq = self.enqueue_time.tolist()
         pstart = self.prefill_start.tolist()
         first = self.first_token_time.tolist()
         kvd = self.kv_transfer_done.tolist()
         comp = self.completion_time.tolist()
         fin = self.finished.tolist()
-        prep = self.prefill_replica.tolist()
-        drep = self.decode_replica.tolist()
-        assert self.outcome is not None and self.attempts is not None
+        prep = [None if r == NO_REPLICA else r for r in self.prefill_replica.tolist()]
+        drep = [None if r == NO_REPLICA else r for r in self.decode_replica.tolist()]
         out = self.outcome.tolist()
         att = self.attempts.tolist()
         return [
             RequestMetrics(
-                request=requests[i],
+                request=Request(
+                    request_id=ids[i],
+                    arrival_time=arrivals[i],
+                    input_length=inputs[i],
+                    output_length=outputs[i],
+                    workload=tags[i],
+                ),
                 enqueue_time=enq[i],
                 prefill_start=pstart[i],
                 first_token_time=first[i],
@@ -224,49 +209,23 @@ completion_time:
             for i in range(n)
         ]
 
-    @staticmethod
-    def _resolve_workloads(
-        n: int,
-        workload_spans: Optional[Sequence[Tuple[int, str]]],
-        row_order: Optional[np.ndarray],
-    ) -> List[str]:
-        if not workload_spans:
-            return ["generic"] * n
-        starts = [s for s, _ in workload_spans]
-        tags = [t for _, t in workload_spans]
-        rows = row_order.tolist() if row_order is not None else range(n)
-        return [tags[bisect_right(starts, r) - 1] for r in rows]
-
 
 class SimulationResult:
-    """Per-request metrics plus run-level aggregates of one simulation.
+    """Per-request metric columns plus run-level aggregates of one simulation.
 
-    Construct with either ``metrics`` (a :class:`RequestMetrics` list, the
-    historical form) or via :meth:`from_arrays` (the fast engine's
-    struct-of-arrays form).  :attr:`metrics` is always available — array-backed
-    results materialize the object list lazily on first access — and every
-    aggregate returns identical values for both backings.
+    Every aggregate is computed over :attr:`arrays`; :attr:`metrics` is the
+    lazily built object view of the same rows.
     """
 
     def __init__(
         self,
-        metrics: Optional[List[RequestMetrics]] = None,
-        makespan: float = 0.0,
-        trace_duration: float = 0.0,
+        arrays: MetricArrays,
+        makespan: float,
+        trace_duration: float,
         label: str = "",
-        arrays: Optional[MetricArrays] = None,
-        requests: Optional[Sequence[Request]] = None,
-        workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
-        row_order: Optional[np.ndarray] = None,
     ) -> None:
-        if metrics is None and arrays is None:
-            metrics = []
-        self._metrics = metrics
-        #: column backing of the run, or ``None`` for list-backed results
+        #: per-request metric columns of the run, ordered by request id
         self.arrays = arrays
-        self._requests = requests
-        self._workload_spans = workload_spans
-        self._row_order = row_order
         #: simulation time at which the last event was processed
         self.makespan = makespan
         #: wall-clock duration of the simulated request trace (arrival span)
@@ -274,48 +233,16 @@ class SimulationResult:
         #: label of the system / plan that produced the run (for reporting)
         self.label = label
 
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: MetricArrays,
-        makespan: float,
-        trace_duration: float,
-        label: str = "",
-        requests: Optional[Sequence[Request]] = None,
-        workload_spans: Optional[Sequence[Tuple[int, str]]] = None,
-        row_order: Optional[np.ndarray] = None,
-    ) -> "SimulationResult":
-        """Wrap a :class:`MetricArrays` block as an array-backed result."""
-        return cls(
-            metrics=None,
-            makespan=makespan,
-            trace_duration=trace_duration,
-            label=label,
-            arrays=arrays,
-            requests=requests,
-            workload_spans=workload_spans,
-            row_order=row_order,
-        )
-
-    @property
+    @cached_property
     def metrics(self) -> List[RequestMetrics]:
-        """Per-request metrics, ordered by request id (materialized lazily)."""
-        if self._metrics is None:
-            assert self.arrays is not None
-            self._metrics = self.arrays.materialize(
-                requests=self._requests,
-                workload_spans=self._workload_spans,
-                row_order=self._row_order,
-            )
-        return self._metrics
+        """Per-request metrics, ordered by request id (built on first access)."""
+        return self.arrays.materialize()
 
     # ------------------------------------------------------------------ basics
     @property
     def num_requests(self) -> int:
         """Number of requests injected."""
-        if self.arrays is not None:
-            return len(self.arrays)
-        return len(self.metrics)
+        return len(self.arrays)
 
     @property
     def finished(self) -> List[RequestMetrics]:
@@ -325,9 +252,7 @@ class SimulationResult:
     @property
     def num_finished(self) -> int:
         """Number of completed requests."""
-        if self.arrays is not None:
-            return int(np.count_nonzero(self.arrays.finished))
-        return len(self.finished)
+        return int(np.count_nonzero(self.arrays.finished))
 
     @property
     def completion_rate(self) -> float:
@@ -340,17 +265,9 @@ class SimulationResult:
     def outcome_counts(self) -> Dict[str, int]:
         """Request count per :class:`~repro.core.types.RequestOutcome` name.
 
-        Works on both backings.  List-backed results resolve the legacy
-        ``finished``-only encoding through
-        :meth:`~repro.core.types.RequestMetrics.resolved_outcome`; the sum of
-        the counts always equals :attr:`num_requests`.
+        The counts always sum to :attr:`num_requests`.
         """
-        if self.arrays is not None:
-            return self.arrays.outcome_counts()
-        counts = {name: 0 for name in OUTCOME_NAMES}
-        for m in self.metrics:
-            counts[m.resolved_outcome().name.lower()] += 1
-        return counts
+        return self.arrays.outcome_counts()
 
     def assert_outcome_conservation(self, require_terminal: bool = False) -> Dict[str, int]:
         """Check that every arrival maps to exactly one coherent outcome.
@@ -377,57 +294,50 @@ class SimulationResult:
             raise SimulationError(
                 f"{counts['pending']} requests left pending on a fully drained run"
             )
-        if self.arrays is not None:
-            assert self.arrays.outcome is not None
-            completed_mask = (
-                self.arrays.outcome == int(RequestOutcome.FINISHED)
-            ) | (self.arrays.outcome == int(RequestOutcome.RETRIED_THEN_FINISHED))
-            if bool(np.any(completed_mask != self.arrays.finished)):
-                raise SimulationError(
-                    "per-request outcome/finished flags disagree in the array backing"
-                )
+        outcome = self.arrays.outcome
+        completed_mask = (outcome == int(RequestOutcome.FINISHED)) | (
+            outcome == int(RequestOutcome.RETRIED_THEN_FINISHED)
+        )
+        if bool(np.any(completed_mask != self.arrays.finished)):
+            raise SimulationError("per-request outcome and finished flags disagree")
         return counts
 
     # ------------------------------------------------------------------ latency
-    def _finished_values(self, slo_type: SLOType) -> Optional[np.ndarray]:
-        """Latency column of ``slo_type`` over finished requests (array path)."""
-        if self.arrays is None:
-            return None
+    def _finished_values(self, slo_type: SLOType) -> np.ndarray:
+        """Latency column of ``slo_type`` over finished requests."""
         return self.arrays.value_for(slo_type)[self.arrays.finished]
 
     def mean(self, slo_type: SLOType) -> float:
         """Mean latency of the given type over finished requests."""
         values = self._finished_values(slo_type)
-        if values is not None:
-            if not values.size:
-                return float("nan")
-            return float(np.mean(values))
-        finished = self.finished
-        if not finished:
+        if not values.size:
             return float("nan")
-        return float(np.mean([m.value_for(slo_type) for m in finished]))
+        return float(np.mean(values))
 
     def percentile(self, slo_type: SLOType, q: float) -> float:
         """Latency percentile (``q`` in [0, 100]) of the given type."""
         values = self._finished_values(slo_type)
-        if values is not None:
-            if not values.size:
-                return float("nan")
-            return float(np.percentile(values, q))
-        finished = self.finished
-        if not finished:
+        if not values.size:
             return float("nan")
-        return float(np.percentile([m.value_for(slo_type) for m in finished], q))
+        return float(np.percentile(values, q))
 
     def summary(self) -> Dict[str, float]:
-        """Mean latency component breakdown (see :func:`summarize_requests`)."""
-        if self.arrays is None:
-            return summarize_requests(self.metrics)
+        """Mean latency component breakdown over the finished requests."""
         a = self.arrays
         fin = a.finished
         count = int(np.count_nonzero(fin))
         if not count:
-            return summarize_requests([])
+            nan = float("nan")
+            return {
+                "num_finished": 0.0,
+                "mean_ttft": nan,
+                "mean_tpot": nan,
+                "mean_e2e": nan,
+                "mean_queue": nan,
+                "mean_prefill": nan,
+                "mean_kv_transfer": nan,
+                "mean_decode": nan,
+            }
         queue = a.prefill_start[fin] - a.arrival_time[fin]
         prefill = a.first_token_time[fin] - a.prefill_start[fin]
         kv = np.maximum(0.0, a.kv_transfer_done[fin] - a.first_token_time[fin])
@@ -446,19 +356,10 @@ class SimulationResult:
     # ------------------------------------------------------------------ SLO
     def slo_attainment(self, slo: SLOSpec, slo_type: SLOType = SLOType.E2E) -> float:
         """Fraction of *all* requests meeting the SLO (unfinished requests miss)."""
-        if self.arrays is not None:
-            n = len(self.arrays)
-            if not n:
-                return 0.0
-            values = self.arrays.value_for(slo_type)
-            hits = np.count_nonzero(
-                self.arrays.finished & (values <= slo.deadline_for(slo_type))
-            )
-            return int(hits) / n
-        if not self.metrics:
+        n = len(self.arrays)
+        if not n:
             return 0.0
-        hits = sum(1 for m in self.metrics if slo.is_met(m, slo_type))
-        return hits / len(self.metrics)
+        return int(np.count_nonzero(self.arrays.meets(slo, slo_type))) / n
 
     def attainment_curve(
         self,
@@ -498,10 +399,7 @@ class SimulationResult:
         """Generated tokens per second over the run (the paper's token throughput)."""
         if self.makespan <= 0 or not self.num_finished:
             return 0.0
-        if self.arrays is not None:
-            tokens = int(self.arrays.output_length[self.arrays.finished].sum())
-        else:
-            tokens = sum(m.request.output_length for m in self.finished)
+        tokens = int(self.arrays.output_length[self.arrays.finished].sum())
         return tokens / self.makespan
 
     @property
@@ -509,13 +407,8 @@ class SimulationResult:
         """Prompt + generated tokens per second over the run."""
         if self.makespan <= 0 or not self.num_finished:
             return 0.0
-        if self.arrays is not None:
-            fin = self.arrays.finished
-            tokens = int(
-                self.arrays.input_length[fin].sum() + self.arrays.output_length[fin].sum()
-            )
-        else:
-            tokens = sum(m.request.total_tokens for m in self.finished)
+        fin = self.arrays.finished
+        tokens = int(self.arrays.input_length[fin].sum() + self.arrays.output_length[fin].sum())
         return tokens / self.makespan
 
     @property
@@ -531,19 +424,26 @@ def merge_results(
 ) -> SimulationResult:
     """Combine sequential window runs of one trace into a single result.
 
-    Event times are absolute within a trace, so the merged makespan is the latest
-    clock reached by any window and the merged trace duration spans from the
-    first window's start to the last window's end.  Used by the scenario sweep to
-    aggregate failure-injection runs served window-by-window.
+    The columns are concatenated and stably reordered by request id.  Event
+    times are absolute within a trace, so the merged makespan is the latest
+    clock reached by any window and the merged trace duration spans the first
+    to the last arrival.  Used by the live loop and the scenario sweep to
+    aggregate runs served window-by-window.
     """
     if not results:
-        return SimulationResult(metrics=[], makespan=0.0, trace_duration=0.0, label=label)
-    metrics = [m for r in results for m in r.metrics]
-    metrics.sort(key=lambda m: m.request.request_id)
-    arrivals = [m.request.arrival_time for m in metrics]
-    duration = (max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0
+        return SimulationResult(
+            MetricArrays.from_metrics([]), makespan=0.0, trace_duration=0.0, label=label
+        )
+    columns = {
+        f.name: np.concatenate([getattr(r.arrays, f.name) for r in results])
+        for f in fields(MetricArrays)
+    }
+    order = np.argsort(columns["request_id"], kind="stable")
+    merged = MetricArrays(**{name: column[order] for name, column in columns.items()})
+    arrivals = merged.arrival_time
+    duration = float(arrivals.max() - arrivals.min()) if arrivals.size >= 2 else 0.0
     return SimulationResult(
-        metrics=metrics,
+        merged,
         makespan=max(r.makespan for r in results),
         trace_duration=duration,
         label=label,
@@ -552,7 +452,7 @@ def merge_results(
 
 __all__ = [
     "MetricArrays",
+    "NO_REPLICA",
     "SimulationResult",
-    "summarize_requests",
     "merge_results",
 ]

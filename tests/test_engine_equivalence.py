@@ -20,6 +20,8 @@ drop-only policies, deadlines and horizon truncation — and every run must
 conserve requests (each arrival maps to exactly one terminal outcome).
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,7 @@ from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.lower_level import LowerLevelSolver
 from repro.scheduling.solution import UpperLevelSolution
 from repro.simulation.engine import ENGINES, ServingSimulator, SimulatorConfig
+from repro.simulation.metrics import MetricArrays
 from repro.workload.generator import generate_requests
 from repro.workload.spec import CONVERSATION_WORKLOAD, WorkloadSpec
 from repro.workload.trace import Trace
@@ -152,6 +155,13 @@ def _assert_identical(fast, reference, check_makespan=True):
         (m.completion_time, m.request.request_id) for m in reference.metrics if m.finished
     )
     assert order_a == order_b
+    # Both engines return columns: every MetricArrays column — outcome,
+    # attempts and the workload tag included — must match bitwise.
+    for column in fields(MetricArrays):
+        a = getattr(fast.arrays, column.name)
+        b = getattr(reference.arrays, column.name)
+        assert a.dtype == b.dtype, f"{column.name}: {a.dtype} != {b.dtype}"
+        assert np.array_equal(a, b), f"column {column.name} differs"
     if check_makespan:
         assert fast.makespan == reference.makespan
 

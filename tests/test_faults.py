@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.types import RequestOutcome
 from repro.faults import (
     ClusterFaultState,
     FaultEvent,
@@ -289,6 +290,16 @@ class TestLiveFaultReplay:
             assert window.num_gpus_alive == 0
             assert window.degraded
             assert window.faults
+        # Outage rows round-trip through the columns: never routed (None
+        # replicas) and typed ``dropped_outage``.
+        for window, result in zip(report.windows, report.results):
+            if not window.outage:
+                continue
+            assert result.num_requests
+            assert result.outcome_counts()["dropped_outage"] == result.num_requests
+            for m in result.metrics:
+                assert m.outcome is RequestOutcome.DROPPED_OUTAGE and not m.finished
+                assert m.prefill_replica is None and m.decode_replica is None
         # Capacity came back: the windows after the recovery actually serve.
         last_outage = max(w.index for w in outages)
         tail = [w for w in report.windows if w.index > last_outage and w.num_requests]

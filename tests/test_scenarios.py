@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.types import SLOType
+from repro.costmodel.reference import a100_reference_latency
 from repro.scenarios import (
     FailureEvent,
     ScenarioSweep,
@@ -21,9 +23,11 @@ from repro.scenarios import (
 from repro.scenarios.library import MultiTenantSLOTiersScenario, TenantTier
 from repro.scheduling.scheduler import Scheduler, SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
+from repro.serving.live import LiveServeConfig, LiveServer
 from repro.serving.system import ThunderServe
 from repro.simulation.engine import SimulatorConfig
-from repro.workload.spec import CONVERSATION_WORKLOAD
+from repro.simulation.metrics import NO_REPLICA
+from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD
 
 #: short trace length used throughout: long enough for dozens of requests,
 #: short enough to keep the whole module in the fast tier of the suite
@@ -292,6 +296,50 @@ def _tiny_serving_context():
     return _TINY_CONTEXT["ctx"]
 
 
+def test_tenant_attainment_columns_match_object_oracle():
+    """Per-tenant attainment from columns equals the ``SLOSpec.is_met`` oracle.
+
+    Covers both column paths: the sweep's per-tier attainment (each tenant at
+    its own SLO) and the live loop's per-window telemetry (one system SLO).
+    """
+    cluster, model, plan = _tiny_serving_context()
+    tiers = (
+        TenantTier("gold", CONVERSATION_WORKLOAD, share=0.2, slo_scale=8.0),
+        TenantTier("silver", CONVERSATION_WORKLOAD, share=0.5, slo_scale=16.0),
+        TenantTier("bronze", CODING_WORKLOAD, share=0.3, slo_scale=32.0),
+    )
+    scenario = MultiTenantSLOTiersScenario(request_rate=1.5, duration=30.0, tiers=tiers)
+    trace = scenario.build_trace(seed=5)
+
+    def oracle(metrics, slo):
+        by_tenant = {}
+        for m in metrics:
+            tenant = m.request.workload.split(":", 1)[1]
+            by_tenant.setdefault(tenant, []).append(slo.is_met(m, SLOType.E2E))
+        return {tenant: sum(hits) / len(hits) for tenant, hits in by_tenant.items()}
+
+    system = ThunderServe(cluster, model, scenario.planning_workload(), scenario.request_rate)
+    system.adopt_plan(plan)
+    result = system.serve(trace)
+    sweep = ScenarioSweep([scenario], seed=0)
+    per_tier = sweep._tenant_attainment(scenario, result, model)
+    attained = []
+    for tier in tiers:
+        slo = a100_reference_latency(model, tier.workload, params=sweep.params).slo_spec(
+            tier.slo_scale
+        )
+        expected = oracle(result.metrics, slo)[tier.tenant]
+        assert per_tier[tier.tenant] == expected, tier.tenant
+        attained.append(expected)
+    assert 0.0 < min(attained) < 1.0, "the oracle must see both hits and misses"
+
+    config = LiveServeConfig(window_s=4.0, reschedule_on_breach=False, reschedule_on_shift=False)
+    report = LiveServer(system, config).run(trace)
+    for window, window_result in zip(report.windows, report.results):
+        expected = oracle(window_result.metrics, system.slo)
+        assert window.per_tenant_attainment == dict(sorted(expected.items()))
+
+
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
         ScenarioSweep.summarize({})
@@ -421,3 +469,12 @@ def test_count_based_event_can_reach_total_loss():
     assert dropped == [2, 3], "both post-outage arrivals are dropped"
     finished = sorted(m.request.request_id for m in result.metrics if m.finished)
     assert finished == [0, 1], "pre-outage arrivals still complete"
+    # The outage window's requests were never routed: the replica columns hold
+    # the sentinel and the object view turns it back into ``None``.
+    assert result.outcome_counts()["dropped_outage"] == 2
+    assert list(result.arrays.prefill_replica[2:]) == [NO_REPLICA, NO_REPLICA]
+    for m in result.metrics[2:]:
+        assert m.prefill_replica is None and m.decode_replica is None
+        assert not m.finished and m.attempts == 0
+    for m in result.metrics[:2]:
+        assert m.prefill_replica is not None and m.decode_replica is not None

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import SimulationError
-from repro.core.types import Phase, SLOType
+from repro.core.types import Phase, SLOSpec, SLOType
 from repro.costmodel.reference import a100_reference_latency
 from repro.parallelism.enumeration import deduce_parallel_plan
 from repro.simulation.colocated import ColocatedSimulator
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.metrics import SimulationResult, summarize_requests
+from repro.simulation.metrics import SimulationResult, merge_results
 from repro.workload.generator import generate_requests
 
 
@@ -260,7 +260,41 @@ class TestSimulationResult:
         assert result.request_throughput > 0
 
     def test_summary_on_empty_metrics(self):
-        assert summarize_requests([])["num_finished"] == 0.0
+        empty = merge_results([])
+        summary = empty.summary()
+        assert summary["num_finished"] == 0.0
+        assert all(np.isnan(v) for k, v in summary.items() if k != "num_finished")
+        assert empty.num_requests == 0 and empty.metrics == []
+        assert empty.makespan == 0.0 and empty.trace_duration == 0.0
+        assert empty.slo_attainment(SLOSpec(ttft=1.0, tpot=1.0, e2e=1.0)) == 0.0
+        assert set(empty.outcome_counts().values()) == {0}
+        empty.assert_outcome_conservation(require_terminal=True)
+
+    def test_merge_results_is_stable_id_sorted_concatenation(
+        self, small_hetero_cluster, small_plan, model_30b, small_trace, conversation_workload
+    ):
+        # Both traces number their requests from 0, so every id appears twice;
+        # the reference run goes through the object adapter, the fast runs not.
+        other = generate_requests(conversation_workload, request_rate=2.0, num_requests=25, seed=12)
+        reference = SimulatorConfig(engine="reference")
+        results = [
+            ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace),
+            ServingSimulator(small_hetero_cluster, small_plan, model_30b, config=reference).run(other),
+            ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace.window(2.0, 6.0)),
+        ]
+        merged = merge_results(results, label="pooled")
+        expected = sorted(
+            (m for r in results for m in r.metrics), key=lambda m: m.request.request_id
+        )
+        assert merged.num_requests == len(expected) == 40 + 25 + len(small_trace.window(2.0, 6.0))
+        assert merged.metrics == expected
+        assert merged.makespan == max(r.makespan for r in results)
+        arrivals = [m.request.arrival_time for m in expected]
+        assert merged.trace_duration == max(arrivals) - min(arrivals)
+        assert merged.label == "pooled"
+        assert merged.outcome_counts() == {
+            name: sum(r.outcome_counts()[name] for r in results) for name in merged.outcome_counts()
+        }
 
     def test_percentiles_ordered(self, small_hetero_cluster, small_plan, model_30b, small_trace):
         result = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)
