@@ -17,9 +17,9 @@ properties the robustness claims rest on:
 * **Recovery recovers** — mean attainment after the rejoin replan is at
   least the attainment under failure.
 * **Total loss degrades gracefully** — a scenario-sweep run whose pinned
-  failure event reclaims *every* GPU completes without aborting, reports
-  its post-loss windows as zero-attainment outages, and serves nothing
-  after the loss.
+  preemption reclaims *every* GPU completes without aborting, reports its
+  post-loss windows as zero-attainment outages, and serves nothing after
+  the loss.
 
 The properties are scale-independent, so the reduced (CI) and full
 configurations are identical; ``REPRO_BENCH_REDUCED=1`` only tags the report
@@ -41,7 +41,9 @@ from typing import ClassVar, Tuple
 from repro.experiments import chaos_recovery
 from repro.hardware.cluster import make_two_datacenter_cluster
 from repro.model.architecture import get_model_config
-from repro.scenarios.base import FailureEvent, Scenario
+from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
+from repro.hardware.cluster import Cluster
+from repro.scenarios.base import Scenario
 from repro.scenarios.sweep import ScenarioSweep
 from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
@@ -68,7 +70,7 @@ WORST_DRIFT_SLACK = 0.05
 
 @dataclass(frozen=True)
 class _TotalLossScenario(Scenario):
-    """Steady traffic with one pinned failure event reclaiming every GPU."""
+    """Steady traffic with one pinned preemption reclaiming every GPU."""
 
     name: ClassVar[str] = "total-loss"
     description: ClassVar[str] = "every GPU reclaimed mid-run"
@@ -76,7 +78,6 @@ class _TotalLossScenario(Scenario):
     request_rate: float = 1.0
     duration: float = 60.0
     loss_fraction: float = 0.5
-    gpu_ids: Tuple[int, ...] = ()
     workload: WorkloadSpec = CODING_WORKLOAD
 
     def build_trace(self, seed=None) -> Trace:
@@ -87,13 +88,16 @@ class _TotalLossScenario(Scenario):
     def planning_workload(self) -> WorkloadSpec:
         return self.workload
 
-    def failure_schedule(self) -> Tuple[FailureEvent, ...]:
-        return (
-            FailureEvent(
-                time=self.loss_fraction * self.duration,
-                gpu_ids=self.gpu_ids,
-                description="provider reclaims every GPU",
-            ),
+    def fault_schedule(self, cluster: Cluster, seed=None) -> FaultSchedule:
+        return FaultSchedule.from_events(
+            [
+                FaultEvent(
+                    time=self.loss_fraction * self.duration,
+                    kind=FaultKind.GPU_PREEMPTION,
+                    gpu_ids=tuple(cluster.gpu_ids),
+                    description="provider reclaims every GPU",
+                )
+            ]
         )
 
     def rescheduling_mode(self) -> str:
@@ -115,7 +119,7 @@ def _run_total_loss() -> Tuple[int, str, bool]:
     """Sweep the total-loss scenario; return (outage windows, error, post-loss zero)."""
     cluster = make_two_datacenter_cluster(inter_dc_gbps=5.0, seed=0)
     model = get_model_config("llama-30b")
-    scenario = _TotalLossScenario(gpu_ids=tuple(cluster.gpu_ids))
+    scenario = _TotalLossScenario()
     scheduler_config = SchedulerConfig(
         tabu=TabuSearchConfig(num_steps=12, num_neighbors=5, memory_size=5, patience=8),
         seed=0,
@@ -137,7 +141,8 @@ def _run_total_loss() -> Tuple[int, str, bool]:
         m for m in outcome.result.metrics if m.request.arrival_time >= loss_time
     ]
     post_loss_zero = bool(post_loss) and all(not m.finished for m in post_loss)
-    return outcome.num_outage_windows, outcome.error or "", post_loss_zero
+    outage_windows = sum(1 for w in outcome.windows if w.outage)
+    return outage_windows, outcome.error or "", post_loss_zero
 
 
 def test_chaos_recovery_gate():

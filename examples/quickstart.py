@@ -87,7 +87,10 @@ def main() -> None:
     # ------------------------------------------------------------- scenario sweep
     # The same plan, stressed across every named scenario in repro.scenarios.
     # Scenarios run concurrently (each on its own ThunderServe instance); the
-    # spot-preemption scenario additionally exercises lightweight rescheduling.
+    # spot-preemption scenario is served through the live loop, which applies
+    # each preemption in-engine at its instant and replans (lightweight
+    # rescheduling) at the next window boundary — window_s of the optional
+    # live_config=LiveServeConfig(...), 30 s by default.
     # For long traces, pass executor="process" to escape the GIL (outcomes are
     # identical); the simulator itself defaults to the vectorized fast engine —
     # SimulatorConfig(engine="reference") selects the per-event implementation.

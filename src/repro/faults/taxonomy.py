@@ -58,8 +58,10 @@ class FaultEvent:
     ----------
     time:
         Serving-clock time (seconds) at which the transition takes effect.
-        The live loop applies events between windows: an event inside a
-        window takes effect at that window's start.
+        In the live loop, capacity events (preemption, crash, recovery) apply
+        inside the engine at exactly this instant and drive a replan at the
+        next window boundary; link and straggler events take effect at that
+        boundary.
     kind:
         The :class:`FaultKind` of the transition.
     gpu_ids:

@@ -15,7 +15,8 @@ production phase-splitting deployment actually meets:
 * :class:`MultiTenantSLOTiersScenario` — gold/silver/bronze tenants sharing the
   fleet under different SLO tiers;
 * :class:`SpotPreemptionScenario` — steady traffic with spot-instance
-  preemptions injected mid-run (the Figure 11 failure situation).
+  preemptions injected mid-run (the Figure 11 failure situation), expressed as
+  a :class:`~repro.faults.FaultSchedule` of pinned ``gpu_preemption`` events.
 
 All scenarios are frozen dataclasses: parameterize by constructing with different
 field values, and rely on :meth:`~repro.scenarios.base.Scenario.build_trace`
@@ -29,7 +30,9 @@ from dataclasses import dataclass
 from typing import ClassVar, Dict, Tuple
 
 from repro.core.rng import RNGLike, ensure_rng, spawn_rng
-from repro.scenarios.base import FailureEvent, Scenario, thinned_poisson_trace
+from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
+from repro.hardware.cluster import Cluster
+from repro.scenarios.base import Scenario, thinned_poisson_trace
 from repro.workload.generator import PoissonArrivalGenerator
 from repro.workload.spec import CODING_WORKLOAD, CONVERSATION_WORKLOAD, WorkloadSpec
 from repro.workload.trace import Trace, merge_traces
@@ -334,12 +337,13 @@ class SpotPreemptionScenario(Scenario):
     """Steady traffic with spot-instance preemptions injected mid-run.
 
     At each preemption fraction of the trace, ``gpus_per_preemption`` GPUs are
-    reclaimed; the serving system must absorb the loss by replanning between
-    windows (Figure 11) with the strategy named by ``reschedule_mode`` —
-    ``"lightweight"`` (§3.4 flip-only, the default), ``"full"`` (re-run the
-    scheduler, parameters reload) or ``"none"`` (drop dead groups).  Victims
-    are chosen by the sweep at event time from whatever is still alive,
-    mirroring how providers reclaim spot capacity.
+    reclaimed; the serving system must absorb the loss by replanning at the
+    next window boundary (Figure 11) with the strategy named by
+    ``reschedule_mode`` — ``"lightweight"`` (§3.4 flip-only, the default),
+    ``"full"`` (re-run the scheduler, parameters reload) or ``"none"`` (drop
+    dead groups).  Victims are drawn at random from the GPUs still alive,
+    mirroring how providers reclaim spot capacity, and pinned when the
+    schedule is compiled (:meth:`fault_schedule`).
     """
 
     name: ClassVar[str] = "spot-preemption"
@@ -377,16 +381,32 @@ class SpotPreemptionScenario(Scenario):
         """The workload the scheduler plans for (traffic itself is steady)."""
         return self.workload
 
-    def failure_schedule(self) -> Tuple[FailureEvent, ...]:
-        """One :class:`FailureEvent` per preemption fraction, in time order."""
-        return tuple(
-            FailureEvent(
-                time=f * self.duration,
-                num_gpus=self.gpus_per_preemption,
-                description=f"spot preemption at {f:.0%} of the trace",
+    def fault_schedule(self, cluster: Cluster, seed: RNGLike = None) -> FaultSchedule:
+        """One pinned ``gpu_preemption`` event per preemption fraction.
+
+        Each event draws ``gpus_per_preemption`` victims (fewer when fewer
+        are left) without replacement from the GPUs of ``cluster`` that no
+        earlier event took; an event with no GPU left to take is skipped.
+        Asking for at least the whole cluster reaches total capacity loss.
+        """
+        rng = ensure_rng(seed)
+        alive = set(cluster.gpu_ids)
+        events = []
+        for f in sorted(self.preemption_fractions):
+            if not alive:
+                break
+            size = min(self.gpus_per_preemption, len(alive))
+            victims = tuple(int(g) for g in rng.choice(sorted(alive), size=size, replace=False))
+            alive.difference_update(victims)
+            events.append(
+                FaultEvent(
+                    time=f * self.duration,
+                    kind=FaultKind.GPU_PREEMPTION,
+                    gpu_ids=victims,
+                    description=f"spot preemption at {f:.0%} of the trace",
+                )
             )
-            for f in sorted(self.preemption_fractions)
-        )
+        return FaultSchedule.from_events(events)
 
     def rescheduling_mode(self) -> str:
         """The configured per-scenario replan strategy (``reschedule_mode``)."""

@@ -7,13 +7,12 @@ immutable shared inputs (cluster, model, plan), so both thread- and process-leve
 parallelism are safe.  ``executor="process"`` runs each scenario in its own
 interpreter (plans, clusters and scenarios are picklable value objects), letting
 long multi-scenario sweeps escape the GIL — the simulators are pure Python, so
-threads serialise on long traces.  Failure-injection scenarios are served
-segment-by-segment: each :class:`~repro.scenarios.base.FailureEvent` is compiled
-into a replica-level fault timeline the engine applies *inside* the segment's
-run (preempting in-flight work at the exact fault instant, retried under the
-sweep's :class:`~repro.faults.RetryPolicy`), lightweight rescheduling runs
-between segments, and the per-segment results are merged into one scenario
-outcome.
+threads serialise on long traces.  A scenario with a fault schedule
+(:meth:`~repro.scenarios.base.Scenario.fault_schedule`) is served through the
+live loop (:class:`~repro.serving.live.LiveServer`), the one fault path of the
+package: the engine applies each capacity loss at its exact instant, in-flight
+work is retried under ``LiveServeConfig.retry_policy``, and the loop replans
+with the scenario's rescheduling mode at the next window boundary.
 """
 
 from __future__ import annotations
@@ -21,34 +20,28 @@ from __future__ import annotations
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.exceptions import ConfigurationError, SchedulingError
-from repro.core.rng import ensure_rng
-from repro.core.types import RequestMetrics, RequestOutcome, SLOType
+from repro.core.exceptions import SchedulingError
+from repro.core.types import SLOType
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
-from repro.faults.retry import RetryPolicy
-from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
-from repro.faults.timeline import compile_fault_timeline
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
 from repro.scenarios.base import Scenario
 from repro.scenarios.library import MultiTenantSLOTiersScenario
 from repro.scenarios.registry import default_scenarios
 from repro.scheduling.deployment import DeploymentPlan
-from repro.scheduling.rescheduling import ReschedulingOverheadModel
 from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.serving.live import LiveServeConfig, LiveServer, WindowTelemetry
 from repro.serving.system import ThunderServe
 from repro.simulation.engine import SimulatorConfig
-from repro.simulation.metrics import MetricArrays, SimulationResult, merge_results
+from repro.simulation.metrics import SimulationResult
 from repro.utils.tables import format_table
-from repro.workload.trace import Trace
 
 
 @dataclass
@@ -73,17 +66,12 @@ class ScenarioOutcome:
     result: Optional[SimulationResult] = None
     #: serving failure captured under ``on_error="zero"`` (None on success)
     error: Optional[str] = None
-    #: per-window telemetry stream (adaptive sweeps only; empty otherwise).
-    #: Workload-shift scenarios surface their per-window plan changes here:
-    #: each record carries the ``plan_id`` the window was served with and
-    #: whether a new plan was installed after it.
+    #: per-window telemetry stream of live-served scenarios (faulted ones, or
+    #: every scenario of an adaptive sweep; empty for batch serving).  Each
+    #: record carries the ``plan_id`` the window was served with, whether a
+    #: new plan was installed after it, and whether it was a total-capacity
+    #: ``outage`` (every arrival a zero-attainment ``dropped_outage`` miss).
     windows: List[WindowTelemetry] = field(default_factory=list)
-    #: total service interruption priced onto the scenario's replans by the
-    #: Table 4 :class:`~repro.scheduling.rescheduling.ReschedulingOverheadModel`
-    reschedule_overhead_s: float = 0.0
-    #: failure-path windows that arrived while no capacity could serve (their
-    #: requests are recorded as zero-attainment misses, not dropped silently)
-    num_outage_windows: int = 0
     #: request count per :class:`~repro.core.types.RequestOutcome` name over
     #: the merged result (empty only for ``on_error="zero"`` failures)
     outcome_counts: Dict[str, int] = field(default_factory=dict)
@@ -118,22 +106,19 @@ class ScenarioSweep:
         is signal, not an abort-worthy exception.  Non-scheduling exceptions
         (worker crashes, pickling problems) propagate under both policies.
     adaptive:
-        When ``True``, scenarios without a failure schedule are served through
-        the live adaptive loop (:class:`~repro.serving.live.LiveServer`)
-        instead of one batch ``serve()`` call: SLO breaches and workload
-        shifts trigger lightweight rescheduling between windows, and each
-        outcome's ``windows`` field carries the per-window telemetry stream
-        (plan id, attainment, estimated rho, breaches).  Failure-injection
-        scenarios keep their event-driven windowed path.
+        When ``True``, every scenario is served through the live adaptive
+        loop (:class:`~repro.serving.live.LiveServer`) instead of one batch
+        ``serve()`` call: SLO breaches and workload shifts trigger lightweight
+        rescheduling between windows.  Scenarios with a fault schedule always
+        take the live loop; without ``adaptive`` only their capacity losses
+        trigger replans.  Each live-served outcome's ``windows`` field carries
+        the per-window telemetry stream (plan id, attainment, estimated rho,
+        breaches, outages).
     live_config:
-        :class:`~repro.serving.live.LiveServeConfig` for adaptive serving
-        (window length, SLO-objective config, admission ceiling); defaults to
-        ``LiveServeConfig()``.  Ignored unless ``adaptive`` is true.
-    retry_policy:
-        :class:`~repro.faults.RetryPolicy` governing the in-engine disposition
-        of work preempted by a :class:`~repro.scenarios.base.FailureEvent`.
-        ``None`` (default) is drop-only: preempted requests are recorded as
-        ``dropped_outage``.
+        :class:`~repro.serving.live.LiveServeConfig` for live serving (window
+        length, SLO-objective config, admission ceiling, retry policy);
+        defaults to ``LiveServeConfig()``.  The sweep overrides ``faults`` and
+        ``failure_mode_order`` per scenario.
     """
 
     EXECUTORS = ("thread", "process")
@@ -151,7 +136,6 @@ class ScenarioSweep:
         on_error: str = "raise",
         adaptive: bool = False,
         live_config: Optional[LiveServeConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.scenarios: Tuple[Scenario, ...] = (
             tuple(scenarios) if scenarios is not None else default_scenarios()
@@ -174,7 +158,6 @@ class ScenarioSweep:
         self.params = params
         self.adaptive = adaptive
         self.live_config = live_config
-        self.retry_policy = retry_policy
 
     # ------------------------------------------------------------------ seeds
     def _derive_seed(self, text: str, salt: str) -> int:
@@ -269,18 +252,20 @@ class ScenarioSweep:
         # system serving without a prior install can never go negative.
         installs_at_adoption = sum(1 for e in system.events if e.kind == "plan_installed")
 
-        events = sorted(scenario.failure_schedule(), key=lambda e: e.time)
+        schedule = scenario.fault_schedule(
+            cluster, seed=self._derive_seed(scenario.name, "failures")
+        )
         windows: List[WindowTelemetry] = []
-        reschedule_overhead_s = 0.0
-        num_outage_windows = 0
-        if events:
-            self._validate_failure_schedule(scenario, events, cluster)
-            result, reschedule_overhead_s, num_outage_windows = self._serve_with_failures(
-                system, trace, events, scenario.name, mode=scenario.rescheduling_mode()
+        if len(schedule) or self.adaptive:
+            base = self.live_config or LiveServeConfig()
+            config = replace(
+                base,
+                faults=schedule.validate(scenario.duration, cluster),
+                failure_mode_order=tuple(dict.fromkeys((scenario.rescheduling_mode(), "none"))),
+                reschedule_on_breach=base.reschedule_on_breach and self.adaptive,
+                reschedule_on_shift=base.reschedule_on_shift and self.adaptive,
             )
-        elif self.adaptive:
-            live = LiveServer(system, config=self.live_config)
-            live_report = live.run(trace, label=scenario.name)
+            live_report = LiveServer(system, config).run(trace, label=scenario.name)
             result = live_report.merged
             windows = live_report.windows
         else:
@@ -308,155 +293,8 @@ class ScenarioSweep:
             per_tenant_attainment=per_tenant,
             result=result,
             windows=windows,
-            reschedule_overhead_s=reschedule_overhead_s,
-            num_outage_windows=num_outage_windows,
             outcome_counts={k: int(v) for k, v in result.outcome_counts().items()},
         )
-
-    def _validate_failure_schedule(
-        self, scenario: Scenario, events, cluster: Cluster
-    ) -> None:
-        """Reject malformed failure schedules before any window is served.
-
-        Raises
-        ------
-        ConfigurationError
-            When an event fires at/after the trace duration (it would never
-            take effect), pins GPU ids the cluster does not have, or asks for
-            more victims than the cluster holds.
-        """
-        available = set(cluster.gpu_ids)
-        for event in events:
-            if event.time >= scenario.duration:
-                raise ConfigurationError(
-                    f"scenario {scenario.name!r}: failure event at t={event.time:g}s "
-                    f"is at/after the trace duration ({scenario.duration:g}s) "
-                    "and would never fire"
-                )
-            if event.gpu_ids is not None:
-                unknown = sorted(set(event.gpu_ids) - available)
-                if unknown:
-                    raise ConfigurationError(
-                        f"scenario {scenario.name!r}: failure event at "
-                        f"t={event.time:g}s pins GPU ids {unknown} that are not "
-                        f"in the cluster (available: {sorted(available)})"
-                    )
-            elif event.num_gpus > cluster.num_gpus:
-                raise ConfigurationError(
-                    f"scenario {scenario.name!r}: failure event at t={event.time:g}s "
-                    f"asks for {event.num_gpus} victims but the cluster only has "
-                    f"{cluster.num_gpus} GPUs"
-                )
-
-    def _serve_with_failures(
-        self,
-        system: ThunderServe,
-        trace: Trace,
-        events,
-        label: str,
-        mode: str = "lightweight",
-    ) -> Tuple[SimulationResult, float, int]:
-        """Serve a trace segment-by-segment with in-engine fault application.
-
-        Each :class:`~repro.scenarios.base.FailureEvent` is resolved to victim
-        GPUs, compiled into a replica-level fault timeline against the plan
-        currently serving, and handed to the engine together with the segment
-        of arrivals preceding it — so work still in flight at the fault
-        instant is preempted *inside* the run and disposed under the sweep's
-        :class:`~repro.faults.RetryPolicy` instead of finishing on hardware
-        that no longer exists.  Between segments ``mode`` selects the replan
-        strategy (see :meth:`~repro.serving.system.ThunderServe.replan_capacity`);
-        each successful replan is priced with the Table 4
-        :class:`~repro.scheduling.rescheduling.ReschedulingOverheadModel`.  A
-        strategy that cannot produce a servable plan falls back to dropping
-        dead groups, and a total capacity loss — reachable by count-based
-        events asking for every surviving GPU — degrades gracefully: the
-        remaining segments are recorded as zero-attainment outages (every
-        arrival a ``dropped_outage`` miss) instead of aborting the sweep.
-
-        Returns
-        -------
-        Tuple[SimulationResult, float, int]
-            The merged result, the total priced rescheduling overhead in
-            seconds, and the number of outage windows.
-        """
-        rng = ensure_rng(self._derive_seed(label, "failures"))
-        overhead_model = ReschedulingOverheadModel()
-        results: List[SimulationResult] = []
-        overhead_s = 0.0
-        outage_windows = 0
-        dead = False
-        window_start = float("-inf")
-        for k, event in enumerate(events):
-            window = trace.window(window_start, event.time)
-            window_start = event.time
-            if dead:
-                if not window.is_empty:
-                    results.append(_outage_result(window, f"{label}[{k}]"))
-                    outage_windows += 1
-                continue
-            alive = sorted(system.cluster.gpu_ids)
-            if event.gpu_ids is not None:
-                victims = [g for g in event.gpu_ids if g in alive]
-            else:
-                count = min(event.num_gpus, len(alive))
-                victims = [int(g) for g in rng.choice(alive, size=count, replace=False)]
-            if not window.is_empty:
-                faults = None
-                if victims:
-                    schedule = FaultSchedule.from_events(
-                        [
-                            FaultEvent(
-                                time=event.time,
-                                kind=FaultKind.GPU_PREEMPTION,
-                                gpu_ids=tuple(victims),
-                            )
-                        ]
-                    )
-                    faults = (
-                        compile_fault_timeline(schedule, system.require_plan()) or None
-                    )
-                results.append(
-                    system.serve(
-                        window,
-                        label=f"{label}[{k}]",
-                        faults=faults,
-                        retry=self.retry_policy,
-                    )
-                )
-            if not victims:
-                continue
-            if len(victims) >= len(alive):
-                # Total capacity loss: nothing left to replan onto.
-                dead = True
-                continue
-            try:
-                plan = system.handle_gpu_failure(victims, mode=mode)
-                actual_mode = mode
-            except SchedulingError:
-                # The cluster already shrank; keep whatever groups survived.
-                try:
-                    plan = system.replan_capacity(
-                        mode="none", reason=f"fallback after {mode} replan failed"
-                    )
-                    actual_mode = "none"
-                except SchedulingError:
-                    dead = True
-                    continue
-            if actual_mode == "lightweight":
-                overhead_s += overhead_model.lightweight_overhead_seconds()
-            elif actual_mode == "full":
-                overhead_s += overhead_model.full_overhead_seconds(
-                    system.model, system.cluster.num_gpus, len(plan.groups)
-                )
-        tail = trace.window(window_start, float("inf"))
-        if not tail.is_empty:
-            if dead:
-                results.append(_outage_result(tail, f"{label}[tail]"))
-                outage_windows += 1
-            else:
-                results.append(system.serve(tail, label=f"{label}[tail]"))
-        return merge_results(results, label=label), overhead_s, outage_windows
 
     def _tenant_attainment(
         self,
@@ -527,28 +365,6 @@ class ScenarioSweep:
             for _, o in sorted(outcomes.items())
         ]
         return format_table(headers, rows, precision=precision, title="Scenario sweep")
-
-
-def _outage_result(window: Trace, label: str) -> SimulationResult:
-    """Zero-attainment result of a window that arrived during a total outage.
-
-    Every arrival becomes an unfinished :class:`~repro.core.types.RequestMetrics`
-    record with outcome ``dropped_outage``, which the attainment accounting
-    counts as an SLO miss — the window reports attainment 0 without losing its
-    requests from the merged result.
-    """
-    metrics = [
-        RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
-        for request in window
-    ]
-    arrivals = [request.arrival_time for request in window]
-    duration = (max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0
-    return SimulationResult(
-        MetricArrays.from_metrics(metrics),
-        makespan=max(arrivals) if arrivals else 0.0,
-        trace_duration=duration,
-        label=label,
-    )
 
 
 def _run_scenario(

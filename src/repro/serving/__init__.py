@@ -1,8 +1,7 @@
 """The ThunderServe serving runtime.
 
-This package is the control plane of the reproduction: the request coordinator
-(dispatching requests according to the scheduler's routing policy), the heartbeat
-monitor (detecting GPU failures), the :class:`ThunderServe` facade that ties
+This package is the control plane of the reproduction: the heartbeat monitor
+(detecting GPU failures), the :class:`ThunderServe` facade that ties
 scheduling, serving (simulated execution), workload profiling and lightweight
 rescheduling together — the overall routine described in §4 and Appendix E — and
 the live adaptive serving layer: declarative SLO objectives
@@ -11,7 +10,6 @@ the live adaptive serving layer: declarative SLO objectives
 streaming per-window telemetry (:mod:`repro.serving.live`).
 """
 
-from repro.serving.coordinator import RequestCoordinator
 from repro.serving.live import (
     LiveServeConfig,
     LiveServeReport,
@@ -39,7 +37,6 @@ from repro.serving.slo_objectives import (
 from repro.serving.system import ServeEvent, ThunderServe
 
 __all__ = [
-    "RequestCoordinator",
     "HeartbeatMonitor",
     "GPUFailure",
     "GPURecovery",

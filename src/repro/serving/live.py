@@ -447,8 +447,9 @@ class LiveServeReport:
             recovery-triggered replan onwards (1.0 when none happened);
             ``num_failure_replans`` / ``num_recovery_replans`` — windows whose
             start installed a fault-triggered plan; ``mean_time_to_replan_s``
-            — mean delay from a capacity loss taking effect to the next
-            successful replan (0 when replanned at the same boundary);
+            — mean delay from a capacity-loss event's instant (when the engine
+            applies it) to the window boundary that installed the next
+            successful replan;
             ``mean_mttr_s`` — mean time between a capacity-loss event and the
             recovery event that revived its GPUs; ``requests_<outcome>`` — the
             run-level request count per
@@ -465,7 +466,7 @@ class LiveServeReport:
             if recovery_indices and w.index >= recovery_indices[-1]
         ]
         time_to_replan = [
-            float(e["replanned_at"]) - float(e["applied_at"])  # type: ignore[arg-type]
+            float(e["replanned_at"]) - float(e["time"])  # type: ignore[arg-type]
             for e in self.fault_log
             if e.get("replan_ok") and "replanned_at" in e
         ]
@@ -663,8 +664,8 @@ class LiveServer:
 
         When the estimated utilisation exceeds ``admission_max_rho``, requests
         are shed with a deterministic deficit counter so the admitted fraction
-        tracks ``admission_max_rho / rho`` exactly (no sampling noise), and the
-        shed requests are recorded on the coordinator.  While an injected
+        tracks ``admission_max_rho / rho`` exactly (no sampling noise); the
+        window's ``outcome_counts`` record the sheds.  While an injected
         fault is active and ``degraded_admission_max_rho`` is configured, the
         tighter of the two ceilings applies (graceful degradation).  Returns
         the admitted sub-trace and the number of shed requests.
@@ -679,7 +680,6 @@ class LiveServer:
         admitted = []
         shed = 0
         acc = 0.0
-        coordinator = self.system.coordinator
         for request in window:
             acc += keep_fraction
             if acc >= 1.0:
@@ -687,8 +687,6 @@ class LiveServer:
                 admitted.append(request)
             else:
                 shed += 1
-                if coordinator is not None:
-                    coordinator.record_shed(request)
         return Trace(requests=admitted, name=f"{window.name}-admitted"), shed
 
     # ------------------------------------------------------------------ telemetry
@@ -808,8 +806,6 @@ class LiveServer:
                 index, w_start, window_end, result, health,
                 num_shed, served_plan_id,
             )
-            if system.coordinator is not None:
-                system.coordinator.record_outcomes(result.outcome_counts())
             if sync is not None:
                 telemetry.faults = sync.descriptions + fault_notes
                 telemetry.degraded = sync.degraded or faults is not None
@@ -1013,22 +1009,18 @@ class LiveServer:
     ) -> Tuple[WindowTelemetry, SimulationResult, DeploymentPlan]:
         """Record one window that arrived while no servable capacity existed.
 
-        Every arrival is logged as an outage drop on the coordinator and
-        becomes an unfinished :class:`~repro.core.types.RequestMetrics` with
-        outcome ``dropped_outage`` (an SLO miss), so the window reports
+        Every arrival becomes an unfinished
+        :class:`~repro.core.types.RequestMetrics` with outcome
+        ``dropped_outage`` (an SLO miss), so the window reports
         attainment 0 without aborting the run; SLO objectives still resolve
         and breach events still fire.
         """
         system = self.system
         slo_config = self.config.slo_config or auto_slo_config()
-        coordinator = system.coordinator
-        metrics = []
-        for request in window:
-            if coordinator is not None:
-                coordinator.record_outage_drop(request)
-            metrics.append(
-                RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
-            )
+        metrics = [
+            RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
+            for request in window
+        ]
         arrivals = [r.arrival_time for r in window]
         result = SimulationResult(
             MetricArrays.from_metrics(metrics),

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.exceptions import SchedulingError
-from repro.core.types import SLOSpec, SLOType
+from repro.core.types import SLOSpec
 from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import ReferenceLatency, a100_reference_latency
 from repro.faults.retry import RetryPolicy
@@ -27,10 +27,9 @@ from repro.faults.timeline import FaultTimeline
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
 from repro.scheduling.deployment import DeploymentPlan
-from repro.scheduling.rescheduling import LightweightRescheduler, ReschedulingOverheadModel
+from repro.scheduling.rescheduling import LightweightRescheduler
 from repro.scheduling.robust import RobustObjective, RobustScheduleResult
 from repro.scheduling.scheduler import ScheduleResult, Scheduler, SchedulerConfig
-from repro.serving.coordinator import RequestCoordinator
 from repro.serving.monitor import GPUFailure, GPURecovery, HeartbeatMonitor
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.metrics import SimulationResult
@@ -95,11 +94,9 @@ class ThunderServe:
         self.rescheduler = LightweightRescheduler(
             kv_transport_bits=self.scheduler.config.kv_transport_bits, params=params
         )
-        self.overhead_model = ReschedulingOverheadModel()
         self.profiler = WorkloadProfiler()
         self.monitor = HeartbeatMonitor(cluster.gpu_ids)
         self.plan: Optional[DeploymentPlan] = None
-        self.coordinator: Optional[RequestCoordinator] = None
         self.schedule_result: Optional[ScheduleResult] = None
         self.robust_result: Optional[RobustScheduleResult] = None
         self.events: List[ServeEvent] = []
@@ -159,7 +156,6 @@ class ThunderServe:
 
     def _install_plan(self, plan: DeploymentPlan, reason: str) -> None:
         self.plan = plan
-        self.coordinator = RequestCoordinator(plan)
         self._simulator = None
         self.events.append(ServeEvent(time=time.time(), kind="plan_installed", detail=reason))
 
@@ -271,33 +267,6 @@ class ThunderServe:
             self.cluster, plan, self.model, params=self.params, config=self.simulator_config
         )
         return simulator.run(trace, label="shadow").slo_attainment(self.slo)
-
-    def serve_live(self, trace: Trace, config=None, label: str = "live"):
-        """Serve a trace through the adaptive live loop with SLO observability.
-
-        Convenience facade over :class:`~repro.serving.live.LiveServer`: the
-        trace is replayed in bounded windows on a time-warped serving clock,
-        each window streams a telemetry record (attainment, queue wait,
-        estimated rho, plan id), SLO objectives are evaluated per window, and
-        breaches / workload shifts trigger :meth:`reschedule_online`.
-
-        Parameters
-        ----------
-        trace:
-            The request trace to replay.
-        config:
-            Optional :class:`~repro.serving.live.LiveServeConfig`.
-        label:
-            Run label stamped onto window results and breach events.
-
-        Returns
-        -------
-        repro.serving.live.LiveServeReport
-            Windowed telemetry, per-window results and breach events.
-        """
-        from repro.serving.live import LiveServer  # local import: live.py imports this module
-
-        return LiveServer(self, config=config).run(trace, label=label)
 
     @property
     def num_plan_changes(self) -> int:
@@ -489,16 +458,6 @@ class ThunderServe:
             self.monitor.heartbeat_all(now)
             self.monitor.mark_failed(dead, now)
         return failure, recovery
-
-    # ------------------------------------------------------------------ reporting
-    def attainment_curve(
-        self,
-        result: SimulationResult,
-        slo_scales: Sequence[float],
-        slo_type: SLOType = SLOType.E2E,
-    ) -> List[float]:
-        """SLO attainment of a serve() result swept over SLO scales."""
-        return result.attainment_curve(slo_scales, self.reference, slo_type)
 
 
 __all__ = ["ThunderServe", "ServeEvent"]

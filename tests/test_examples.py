@@ -50,3 +50,11 @@ def test_live_serving_example_runs():
     assert proc.returncode == 0, proc.stderr
     assert "Per-window telemetry" in proc.stdout
     assert "worst window attainment" in proc.stdout
+
+
+@pytest.mark.integration
+def test_quickstart_example_runs():
+    proc = _run_example("quickstart.py")
+    assert proc.returncode == 0, proc.stderr
+    table = proc.stdout.split("Scenario sweep", 1)[1]
+    assert "spot-preemption" in table

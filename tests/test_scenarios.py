@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.types import SLOType
 from repro.costmodel.reference import a100_reference_latency
+from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
 from repro.scenarios import (
-    FailureEvent,
     ScenarioSweep,
     SpotPreemptionScenario,
     default_scenarios,
@@ -117,11 +117,23 @@ def test_multi_tenant_rejects_bad_shares():
         )
 
 
-def test_spot_preemption_failure_schedule_sorted_and_bounded():
+def test_spot_preemption_fault_schedule_sorted_and_bounded(cloud_cluster):
     scenario = SpotPreemptionScenario(duration=100.0, preemption_fractions=(0.7, 0.3))
-    events = scenario.failure_schedule()
-    assert [e.time for e in events] == [30.0, 70.0]
-    assert all(isinstance(e, FailureEvent) and 0 < e.time < 100.0 for e in events)
+    schedule = scenario.fault_schedule(cloud_cluster, seed=0)
+    assert [e.time for e in schedule] == [30.0, 70.0]
+    assert all(e.kind is FaultKind.GPU_PREEMPTION and 0 < e.time < 100.0 for e in schedule)
+    first, second = (set(e.gpu_ids) for e in schedule)
+    assert len(first) == len(second) == scenario.gpus_per_preemption
+    assert not first & second, "a GPU is reclaimed at most once"
+    assert schedule.validate(scenario.duration, cloud_cluster) is schedule
+    assert scenario.fault_schedule(cloud_cluster, seed=0) == schedule
+
+    # The sweep's seed pins the victims the runtime draw used to pick at each
+    # event from the GPUs still alive.
+    spot = SpotPreemptionScenario()
+    seed = ScenarioSweep([spot], seed=0)._derive_seed(spot.name, "failures")
+    pinned = spot.fault_schedule(cloud_cluster, seed=seed)
+    assert [(e.time, e.gpu_ids) for e in pinned] == [(48.0, (7, 28)), (84.0, (14, 31))]
 
 
 # ------------------------------------------------------------------- e2e smokes
@@ -146,7 +158,7 @@ def test_serve_smoke_per_scenario(scenario, cloud_cluster, model_30b, cloud_plan
 @pytest.mark.integration
 def test_scenario_sweep_end_to_end(cloud_cluster, model_30b, cloud_plan):
     """The concurrent sweep covers all scenarios, including failure injection."""
-    sweep = ScenarioSweep(smoke_scenarios(), seed=0)
+    sweep = ScenarioSweep(smoke_scenarios(), seed=0, live_config=LiveServeConfig(window_s=4.0))
     outcomes = sweep.evaluate(cloud_cluster, model_30b, cloud_plan)
     assert set(outcomes) == set(list_scenarios())
     for name, outcome in outcomes.items():
@@ -345,6 +357,60 @@ def test_summarize_rejects_empty():
         ScenarioSweep.summarize({})
 
 
+# ------------------------------------------------------------ faulted scenarios
+def test_only_spot_preemption_has_a_fault_schedule(cloud_cluster):
+    for scenario in smoke_scenarios():
+        schedule = scenario.fault_schedule(cloud_cluster, seed=0)
+        assert isinstance(schedule, FaultSchedule)
+        assert bool(len(schedule)) == (scenario.name == "spot-preemption"), scenario.name
+
+
+@pytest.mark.parametrize("mode", SpotPreemptionScenario.RESCHEDULE_MODES)
+def test_sweep_serves_faulted_scenarios_through_live_loop(monkeypatch, mode):
+    """A faulted scenario runs ``LiveServer`` with the sweep's overrides.
+
+    The schedule is the scenario's own (seeded per scenario), replans try the
+    scenario's mode and then ``"none"``, breach and shift rescheduling are off
+    without ``adaptive``, and every other ``live_config`` field is kept.
+    """
+    from repro.faults.retry import RetryPolicy
+    from repro.scenarios import sweep as sweep_module
+
+    configs = []
+
+    class SpyServer(LiveServer):
+        def __init__(self, system, config=None, **kwargs):
+            configs.append(config)
+            super().__init__(system, config, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "LiveServer", SpyServer)
+    cluster, model, plan = _tiny_serving_context()
+    spot = SpotPreemptionScenario(
+        duration=SMOKE_DURATION, gpus_per_preemption=1, reschedule_mode=mode
+    )
+    scenarios = [spot, get_scenario("diurnal", duration=SMOKE_DURATION)]
+    retry = RetryPolicy.drop_only()
+    live_config = LiveServeConfig(window_s=4.0, retry_policy=retry)
+    sweep = ScenarioSweep(scenarios, seed=3, live_config=live_config)
+    outcomes = sweep.evaluate(cluster, model, plan)
+
+    (config,) = configs  # diurnal has no schedule: one batch serve()
+    assert config.faults == spot.fault_schedule(
+        cluster, seed=sweep._derive_seed(spot.name, "failures")
+    )
+    assert config.failure_mode_order == tuple(dict.fromkeys((mode, "none")))
+    assert not config.reschedule_on_breach and not config.reschedule_on_shift
+    assert config.window_s == 4.0 and config.retry_policy is retry
+    assert live_config.faults is None, "the caller's config is not mutated"
+
+    faulted, batch = outcomes[spot.name], outcomes["diurnal"]
+    assert batch.windows == [] and batch.num_plan_changes == 0
+    assert faulted.windows and faulted.result.num_requests == faulted.num_requests
+    assert sum(w.num_requests for w in faulted.windows) == faulted.num_requests
+    assert not any(w.plan_changed for w in faulted.windows)
+    assert faulted.outcome_counts["retried_then_finished"] == 0
+
+
 # ----------------------------------------------------------- plan-change counter
 def test_plan_change_counter_zero_without_failures():
     """A scenario with no failure events reports exactly zero plan changes."""
@@ -362,8 +428,6 @@ def test_plan_change_counter_never_negative_without_install_event(monkeypatch):
     (the old code subtracted a hard-coded 1 and went to -1 here) must report
     zero plan changes.
     """
-    from repro.serving.coordinator import RequestCoordinator
-
     cluster, model, plan = _tiny_serving_context()
 
     def quiet_adopt(self, plan, reason="quiet"):
@@ -371,7 +435,6 @@ def test_plan_change_counter_never_negative_without_install_event(monkeypatch):
         # emulating a pre-provisioned system that never went through
         # ``adopt_plan``/``deploy``.
         self.plan = plan
-        self.coordinator = RequestCoordinator(plan)
         self._simulator = None
         self.profiler.set_reference_from_spec(self.workload, self.request_rate)
         return plan
@@ -405,75 +468,92 @@ def _boundary_trace(times):
     return Trace(requests=requests, name="boundary")
 
 
-@pytest.mark.parametrize("num_events", [1, 2])
-def test_request_at_failure_time_served_exactly_once(num_events):
-    """A request arriving exactly at ``FailureEvent.time`` is served once.
-
-    ``Trace.window`` is half-open ``[start, end)``: the pre-failure window
-    excludes the boundary arrival and the post-failure window includes it.
-    With two *coincident* failure events the middle window is empty and the
-    request must still be served exactly once, after both events.
-    """
+def _live_fault_run(trace, schedule, window_s):
+    """Serve ``trace`` through the live loop with the sweep's fault settings."""
     cluster, model, plan = _tiny_serving_context()
-    boundary = 6.0
-    trace = _boundary_trace([1.0, boundary - 0.5, boundary, boundary + 0.5, 10.0])
     system = ThunderServe(cluster, model, CONVERSATION_WORKLOAD, request_rate=1.0)
     system.adopt_plan(plan)
-    # ``gpu_ids=()`` keeps the windowing machinery (and any rescheduling hooks)
-    # exercised without actually killing GPUs, so the serve stays deterministic.
-    events = [FailureEvent(time=boundary, gpu_ids=()) for _ in range(num_events)]
-    sweep = ScenarioSweep([get_scenario("diurnal", duration=SMOKE_DURATION)], seed=0)
-    result, overhead_s, num_outages = sweep._serve_with_failures(
-        system, trace, events, label="boundary"
+    config = LiveServeConfig(
+        window_s=window_s,
+        faults=schedule,
+        reschedule_on_breach=False,
+        reschedule_on_shift=False,
     )
-    assert result.num_requests == len(trace)
-    assert overhead_s == 0.0, "no GPUs died, so no replan was priced"
-    assert num_outages == 0
-    served_ids = sorted(m.request.request_id for m in result.metrics)
-    assert served_ids == [0, 1, 2, 3, 4], "every request served exactly once"
-    boundary_metrics = [m for m in result.metrics if m.request.arrival_time == boundary]
-    assert len(boundary_metrics) == 1
-    # The boundary request belongs to the *post*-failure window: it cannot have
-    # started prefill before the failure instant.
-    assert boundary_metrics[0].enqueue_time >= boundary
+    return LiveServer(system, config).run(trace, label="faulted")
+
+
+@pytest.mark.parametrize("num_events", [1, 2])
+def test_request_at_failure_time_served_exactly_once(num_events):
+    """A request arriving exactly at a preemption on a window boundary is served once.
+
+    ``Trace.window`` is half-open ``[start, end)``: the window ending at the
+    boundary excludes the boundary arrival and the next window includes it.
+    The preemption at the boundary applies in-engine in the later window, so
+    with one or two *coincident* events every request still appears exactly
+    once in the merged result.
+    """
+    cluster, _, _ = _tiny_serving_context()
+    boundary = 6.0
+    trace = _boundary_trace([1.0, boundary - 0.5, boundary, boundary + 0.5, 10.0])
+    victims = [(cluster.gpu_ids[0],), (cluster.gpu_ids[-1],)][:num_events]
+    schedule = FaultSchedule.from_events(
+        [FaultEvent(time=boundary, kind=FaultKind.GPU_PREEMPTION, gpu_ids=v) for v in victims]
+    )
+    # Windows start at the first arrival (1.0), so the second one opens at 6.0.
+    report = _live_fault_run(trace, schedule, window_s=boundary - 1.0)
+    assert [w.start for w in report.windows] == [1.0, boundary]
+    assert len(report.fault_log) == num_events
+    merged = report.merged
+    assert sorted(merged.arrays.request_id.tolist()) == [0, 1, 2, 3, 4], (
+        "every request served exactly once"
+    )
+    before, after = report.results
+    assert boundary not in before.arrays.arrival_time.tolist()
+    assert after.arrays.arrival_time.tolist().count(boundary) == 1
+    # The boundary request belongs to the later window: it cannot have been
+    # enqueued before the window (and the preemption) began.
+    (boundary_metrics,) = [m for m in merged.metrics if m.request.arrival_time == boundary]
+    assert boundary_metrics.enqueue_time >= boundary
 
 
 def test_count_based_event_can_reach_total_loss():
-    """``num_gpus >= cluster size`` kills every GPU; nothing is clamped alive.
+    """``gpus_per_preemption`` above the cluster size pins every GPU.
 
-    Regression test: the random-victim path used to draw
-    ``min(event.num_gpus, len(alive) - 1)`` victims, silently keeping one GPU
-    alive and making total capacity loss unreachable from count-based events.
-    A count asking for at least the whole cluster must now take it down —
-    every arrival after the event is a zero-attainment ``dropped_outage``.
+    Nothing is clamped alive: the one preemption reclaims the whole cluster.
+    Arrivals before it finish; arrivals after it are ``dropped_outage`` —
+    in-engine inside the fault window, and as never-routed rows of the
+    zero-attainment outage window that follows.
     """
     from repro.core.types import RequestOutcome
 
-    cluster, model, plan = _tiny_serving_context()
-    trace = _boundary_trace([1.0, 2.0, 6.5, 7.0])
-    system = ThunderServe(cluster, model, CONVERSATION_WORKLOAD, request_rate=1.0)
-    system.adopt_plan(plan)
-    events = [FailureEvent(time=6.0, num_gpus=cluster.num_gpus + 5)]
-    sweep = ScenarioSweep([get_scenario("diurnal", duration=SMOKE_DURATION)], seed=0)
-    result, overhead_s, num_outages = sweep._serve_with_failures(
-        system, trace, events, label="total-loss"
+    cluster, _, _ = _tiny_serving_context()
+    scenario = SpotPreemptionScenario(
+        duration=12.0, preemption_fractions=(0.5,), gpus_per_preemption=cluster.num_gpus + 5
     )
-    assert num_outages == 1
-    assert overhead_s == 0.0, "nothing survived, so no replan was priced"
-    assert result.num_requests == 4
+    schedule = scenario.fault_schedule(cluster, seed=0)
+    (event,) = schedule
+    assert event.time == 6.0
+    assert sorted(event.gpu_ids) == sorted(cluster.gpu_ids)
+    trace = _boundary_trace([1.0, 2.0, 6.5, 7.0, 10.0, 11.0])
+    report = _live_fault_run(trace, schedule.validate(scenario.duration, cluster), 4.0)
+    assert [w.outage for w in report.windows] == [False, False, True]
+    result = report.merged
+    assert result.num_requests == 6
     dropped = sorted(
         m.request.request_id
         for m in result.metrics
         if m.outcome is RequestOutcome.DROPPED_OUTAGE
     )
-    assert dropped == [2, 3], "both post-outage arrivals are dropped"
+    assert dropped == [2, 3, 4, 5], "every post-loss arrival is dropped"
     finished = sorted(m.request.request_id for m in result.metrics if m.finished)
-    assert finished == [0, 1], "pre-outage arrivals still complete"
+    assert finished == [0, 1], "pre-loss arrivals still complete"
+    assert result.outcome_counts()["dropped_outage"] == 4
     # The outage window's requests were never routed: the replica columns hold
     # the sentinel and the object view turns it back into ``None``.
-    assert result.outcome_counts()["dropped_outage"] == 2
-    assert list(result.arrays.prefill_replica[2:]) == [NO_REPLICA, NO_REPLICA]
-    for m in result.metrics[2:]:
+    outage = report.results[-1]
+    assert list(outage.arrays.prefill_replica) == [NO_REPLICA, NO_REPLICA]
+    assert list(outage.arrays.decode_replica) == [NO_REPLICA, NO_REPLICA]
+    for m in result.metrics[4:]:
         assert m.prefill_replica is None and m.decode_replica is None
         assert not m.finished and m.attempts == 0
     for m in result.metrics[:2]:
