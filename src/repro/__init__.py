@@ -23,8 +23,8 @@ simulated substrate:
   lightweight rescheduler.
 * :mod:`repro.simulation` — discrete-event serving simulator used both inside the
   scheduler and as the evaluation testbed.
-* :mod:`repro.serving` — the ThunderServe runtime facade (monitor, live serving
-  loop, rescheduling).
+* :mod:`repro.serving` — the ThunderServe runtime facade (live serving loop,
+  SLO objectives, rescheduling).
 * :mod:`repro.scenarios` — named workload scenarios (diurnal, bursty, RAG,
   agentic mix, multi-tenant SLO tiers, spot preemption) and the concurrent
   cross-scenario sweep runner.

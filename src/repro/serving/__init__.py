@@ -1,13 +1,13 @@
 """The ThunderServe serving runtime.
 
-This package is the control plane of the reproduction: the heartbeat monitor
-(detecting GPU failures), the :class:`ThunderServe` facade that ties
-scheduling, serving (simulated execution), workload profiling and lightweight
-rescheduling together — the overall routine described in §4 and Appendix E — and
-the live adaptive serving layer: declarative SLO objectives
-(:mod:`repro.serving.slo_objectives`), edge-triggered breach tracking
-(:class:`SLOBreachTracker`) and the windowed :class:`LiveServer` loop with
-streaming per-window telemetry (:mod:`repro.serving.live`).
+This package is the control plane of the reproduction: the
+:class:`ThunderServe` facade that ties scheduling, serving (simulated
+execution), workload profiling and lightweight rescheduling together — the
+overall routine described in §4 and Appendix E — and the live adaptive serving
+layer: declarative SLO objectives with edge-triggered breach tracking
+(:mod:`repro.serving.slo_objectives`, :class:`SLOBreachTracker`) and the
+windowed :class:`LiveServer` loop with streaming per-window telemetry and
+fault replay (:mod:`repro.serving.live`).
 """
 
 from repro.serving.live import (
@@ -18,15 +18,10 @@ from repro.serving.live import (
     WindowTelemetry,
     plan_signature,
 )
-from repro.serving.monitor import (
-    GPUFailure,
-    GPURecovery,
-    HeartbeatMonitor,
-    SLOBreachTracker,
-)
 from repro.serving.slo_objectives import (
     BreachEvent,
     ObjectiveOutcome,
+    SLOBreachTracker,
     SLOObjective,
     SLOReport,
     auto_slo_config,
@@ -37,10 +32,6 @@ from repro.serving.slo_objectives import (
 from repro.serving.system import ServeEvent, ThunderServe
 
 __all__ = [
-    "HeartbeatMonitor",
-    "GPUFailure",
-    "GPURecovery",
-    "SLOBreachTracker",
     "ThunderServe",
     "ServeEvent",
     "LiveServer",
@@ -53,6 +44,7 @@ __all__ = [
     "ObjectiveOutcome",
     "SLOReport",
     "BreachEvent",
+    "SLOBreachTracker",
     "auto_slo_config",
     "evaluate_slo_objectives",
     "infer_slo_profile",

@@ -28,48 +28,40 @@ window it
    configured :class:`~repro.faults.RetryPolicy`; at the next window boundary
    the same events fold into the cluster state, where capacity loss triggers a
    failure replan chain with bounded retry/backoff, capacity recovery triggers
-   a (shadow-validated) re-expansion replan, network degradation and straggler
-   slowdowns reprice the engine transparently, and a total-capacity outage
-   degrades gracefully to zero-attainment windows instead of crashing the run.
+   a (shadow-validated) full-scheduler re-expansion replan, network
+   degradation and straggler slowdowns reprice the engine transparently, and a
+   window with no servable plan (total-capacity outage, or every replan
+   failed) is recorded with every arrival dropped instead of crashing the run.
 
-Plan changes only happen *between* windows, which keeps the loop auditable:
-replaying each window's sub-trace against its recorded plan — and, for windows
-with mid-window faults, the same compiled fault timeline — in independent
-batch simulations reproduces the live run's metrics exactly (the
-piecewise-static equivalence contract, enforced by the test suite).
-
-For integration into an asyncio application, :meth:`LiveServer.stream` wraps
-the same loop as an async generator and can optionally pace windows in scaled
-wall-clock time.
+Every window — served or not — goes through one tail: measure the telemetry
+record, fill its fault fields, resolve the SLO profile, update the breach
+tracker and fire the callbacks.  Plan changes only happen *between* windows,
+which keeps the loop auditable: replaying each window's sub-trace against its
+recorded plan — and, for windows with mid-window faults, the same compiled
+fault timeline — in independent batch simulations reproduces the live run's
+metrics exactly (the piecewise-static equivalence contract, enforced by the
+test suite).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.exceptions import InvalidPlanError, SchedulingError
-from repro.core.types import OUTCOME_NAMES, RequestMetrics, RequestOutcome, SLOType
+from repro.core.types import OUTCOME_NAMES, SLOType
 from repro.faults.retry import RetryPolicy
-from repro.faults.state import ClusterFaultState
+from repro.faults.state import AppliedFault, ClusterFaultState
 from repro.faults.taxonomy import CAPACITY_LOSS_KINDS, FaultKind, FaultSchedule
 from repro.faults.timeline import FaultTimeline, compile_fault_timeline
 from repro.scheduling.deployment import DeploymentPlan, RoutingPolicy
 from repro.scheduling.estimator import SLOEstimator
-from repro.serving.monitor import SLOBreachTracker
 from repro.serving.slo_objectives import (
     BreachEvent,
+    SLOBreachTracker,
     auto_slo_config,
     evaluate_slo_objectives,
     resolve_slo_objectives,
@@ -77,6 +69,15 @@ from repro.serving.slo_objectives import (
 from repro.serving.system import ThunderServe
 from repro.simulation.metrics import MetricArrays, SimulationResult, merge_results
 from repro.workload.trace import Trace
+
+#: Replan strategy after a capacity recovery: the §3.4 flip-only rescheduler
+#: cannot place new groups on revived GPUs, so re-expansion needs the whole
+#: scheduler.
+_RECOVERY_MODE = "full"
+#: Consecutive failed replan attempts tolerated before the loop backs off.
+_REPLAN_MAX_RETRIES = 2
+#: Replan attempts skipped once the loop backs off.
+_REPLAN_BACKOFF_WINDOWS = 1
 
 
 def plan_signature(plan: DeploymentPlan) -> str:
@@ -151,7 +152,7 @@ class WindowTelemetry:
     breaches: Tuple[BreachEvent, ...] = ()
     #: per-tenant E2E attainment for ``"tenant:*"``-tagged requests
     per_tenant_attainment: Dict[str, float] = field(default_factory=dict)
-    #: whether the window was a total-capacity outage (nothing served)
+    #: whether no servable plan existed for the window (nothing served)
     outage: bool = False
     #: whether any injected fault was active while the window was served
     degraded: bool = False
@@ -313,36 +314,23 @@ class LiveServeConfig:
         the surviving replicas keep serving, but nothing re-optimises — the
         static arm of a chaos comparison.
     reschedule_on_recovery:
-        React to capacity recovery (GPU rejoin) with a ``recovery_mode``
-        replan that re-expands onto the revived GPUs.  When off, revived
-        capacity stays idle.
+        React to capacity recovery (GPU rejoin) with a full-scheduler replan
+        that re-expands onto the revived GPUs (the §3.4 flip-only rescheduler
+        cannot place groups on them).  When off, revived capacity stays idle.
     failure_mode_order:
         Replan strategies tried in order after a capacity loss; the first one
         that yields a servable plan wins.  Strategies are the Figure 11 modes
         accepted by :meth:`~repro.serving.system.ThunderServe.replan_capacity`.
-    recovery_mode:
-        Replan strategy after a capacity recovery.  Defaults to ``"full"``:
-        the §3.4 flip-only rescheduler cannot place new groups on revived
-        GPUs, so re-expansion needs the whole scheduler.
-    replan_max_retries:
-        Consecutive failed replan attempts tolerated before the loop backs
-        off.  While backed off (and whenever every strategy fails), affected
-        windows are served by the surviving plan — or recorded as
-        zero-attainment outage windows when no servable plan exists.
-    replan_backoff_windows:
-        Windows to skip replan attempts for after ``replan_max_retries``
-        consecutive failures.
-    degraded_admission_max_rho:
-        Tighter admission ceiling applied while any injected fault is active
-        (graceful degradation sheds load instead of missing every deadline).
-        ``None`` (default) keeps ``admission_max_rho`` in all conditions.
+        After two consecutive replan attempts in which every strategy failed,
+        the loop skips the next attempt; meanwhile windows are served by the
+        surviving plan — or recorded with every arrival dropped when no
+        servable plan exists.
 
     Raises
     ------
     ValueError
-        If ``window_s`` is not positive, an admission ceiling is not in
-        ``(0, 1]``, a replan mode is unknown, or a retry/backoff knob is
-        negative.
+        If ``window_s`` is not positive, ``admission_max_rho`` is not in
+        ``(0, 1]``, or a replan mode is unknown.
     """
 
     window_s: float = 30.0
@@ -356,35 +344,21 @@ class LiveServeConfig:
     reschedule_on_failure: bool = True
     reschedule_on_recovery: bool = True
     failure_mode_order: Tuple[str, ...] = ("lightweight", "none")
-    recovery_mode: str = "full"
-    replan_max_retries: int = 2
-    replan_backoff_windows: int = 1
-    degraded_admission_max_rho: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ValueError("window_s must be positive")
-        for name in ("admission_max_rho", "degraded_admission_max_rho"):
-            ceiling = getattr(self, name)
-            if ceiling is not None and not 0 < ceiling <= 1:
-                raise ValueError(f"{name} must be in (0, 1]")
+        if self.admission_max_rho is not None and not 0 < self.admission_max_rho <= 1:
+            raise ValueError("admission_max_rho must be in (0, 1]")
         modes = ThunderServe.RESCHEDULE_MODES
         self.failure_mode_order = tuple(self.failure_mode_order)
         if not self.failure_mode_order:
             raise ValueError("failure_mode_order must name at least one mode")
-        for field_name, field_modes in (
-            ("failure_mode_order", self.failure_mode_order),
-            ("recovery_mode", (self.recovery_mode,)),
-        ):
-            for mode in field_modes:
-                if mode not in modes:
-                    raise ValueError(
-                        f"{field_name} entries must be one of {modes}, got {mode!r}"
-                    )
-        if self.replan_max_retries < 1:
-            raise ValueError("replan_max_retries must be at least 1")
-        if self.replan_backoff_windows < 0:
-            raise ValueError("replan_backoff_windows must not be negative")
+        for mode in self.failure_mode_order:
+            if mode not in modes:
+                raise ValueError(
+                    f"failure_mode_order entries must be one of {modes}, got {mode!r}"
+                )
 
 
 @dataclass
@@ -408,14 +382,13 @@ class LiveServeReport:
     def num_plan_changes(self) -> int:
         """Number of plan installations during the run.
 
-        Counts end-of-window adaptations (``plan_changed``) plus the
-        failure/recovery replans installed at window starts by fault handling.
+        Counts end-of-window adaptations (``plan_changed``) and the
+        failure/recovery replans installed at window starts by fault handling
+        separately, so a window with both counts twice.
         """
-        return sum(
-            1
-            for w in self.windows
-            if w.plan_changed or w.replan_trigger in ("failure", "recovery")
-        )
+        adaptations = sum(1 for w in self.windows if w.plan_changed)
+        replans = sum(1 for w in self.windows if w.replan_trigger in ("failure", "recovery"))
+        return adaptations + replans
 
     @property
     def plan_ids(self) -> List[str]:
@@ -510,36 +483,6 @@ class LiveServeReport:
         return [w.to_dict() for w in self.windows]
 
 
-@dataclass
-class _FaultSync:
-    """Outcome of syncing one window boundary's fault events into the system."""
-
-    #: human-readable descriptions of the events applied at this boundary
-    descriptions: Tuple[str, ...] = ()
-    #: replan installed at this boundary ("" / "failure" / "recovery")
-    trigger: str = ""
-    #: True when no servable plan exists (outage, or every replan failed)
-    unservable: bool = False
-    #: True when any fault is currently active
-    degraded: bool = False
-    #: GPUs alive after applying the boundary's events
-    num_alive: int = -1
-    #: True when every GPU is removed (total capacity loss)
-    outage: bool = False
-
-
-def _merge_sync(carried: "_FaultSync", current: "_FaultSync") -> "_FaultSync":
-    """Fold a fault sync carried over empty windows into the current one."""
-    return _FaultSync(
-        descriptions=carried.descriptions + current.descriptions,
-        trigger=current.trigger or carried.trigger,
-        unservable=current.unservable,
-        degraded=current.degraded,
-        num_alive=current.num_alive,
-        outage=current.outage,
-    )
-
-
 class LiveServer:
     """Windowed adaptive serving loop over a :class:`ThunderServe` system.
 
@@ -569,18 +512,19 @@ class LiveServer:
         self.on_window = on_window
         self.on_breach = on_breach
         self.tracker = SLOBreachTracker()
-        # Fault-injection loop state (reset at the start of every run).
+        self._reset()
+
+    def _reset(self) -> None:
+        """Clear the fault-injection loop state (done at the start of every run)."""
         self._fault_state: Optional[ClusterFaultState] = None
         self._pending_faults: List = []
         self._fault_log: List[Dict[str, object]] = []
         self._awaiting_replan: List[Dict[str, object]] = []
-        self._carry_sync: Optional[_FaultSync] = None
         self._last_window: Optional[Trace] = None
         self._replan_failures = 0
         self._replan_cooldown = 0
         self._unservable = False
         self._system_stale = False
-        self._degraded_now = False
 
     # ------------------------------------------------------------------ estimation
     def _routing(self, plan: DeploymentPlan) -> RoutingPolicy:
@@ -665,15 +609,10 @@ class LiveServer:
         When the estimated utilisation exceeds ``admission_max_rho``, requests
         are shed with a deterministic deficit counter so the admitted fraction
         tracks ``admission_max_rho / rho`` exactly (no sampling noise); the
-        window's ``outcome_counts`` record the sheds.  While an injected
-        fault is active and ``degraded_admission_max_rho`` is configured, the
-        tighter of the two ceilings applies (graceful degradation).  Returns
-        the admitted sub-trace and the number of shed requests.
+        window's ``outcome_counts`` record the sheds.  Returns the admitted
+        sub-trace and the number of shed requests.
         """
         max_rho = self.config.admission_max_rho
-        degraded_rho = self.config.degraded_admission_max_rho
-        if self._degraded_now and degraded_rho is not None:
-            max_rho = degraded_rho if max_rho is None else min(max_rho, degraded_rho)
         if max_rho is None or health.rho <= max_rho or health.rho <= 0:
             return window, 0
         keep_fraction = max_rho / health.rho
@@ -700,7 +639,7 @@ class LiveServer:
         num_shed: int,
         served_plan_id: str,
     ) -> WindowTelemetry:
-        """Build the telemetry record of one served window."""
+        """Build the telemetry record of one window (served or not)."""
         slo = self.system.slo
         a = result.arrays
         fin = a.finished
@@ -735,133 +674,20 @@ class LiveServer:
             outcome_counts=outcome_counts,
         )
 
-    # ------------------------------------------------------------------ loop
-    def _serve_windows(
-        self, trace: Trace, label: str
-    ) -> Iterator[Tuple[WindowTelemetry, SimulationResult, DeploymentPlan]]:
-        """Serve ``trace`` window by window, yielding telemetry as it is measured."""
-        system = self.system
-        config = self.config
-        slo_config = config.slo_config or auto_slo_config()
-        system.require_plan()
-        self._fault_state = None
-        self._pending_faults = []
-        self._fault_log = []
-        self._awaiting_replan = []
-        self._carry_sync = None
-        self._last_window = None
-        self._replan_failures = 0
-        self._replan_cooldown = 0
-        self._unservable = False
-        self._system_stale = False
-        self._degraded_now = False
-        if config.faults is not None and len(config.faults) > 0:
-            # Times are checked per window; validate ids/counts up front.
-            config.faults.validate(float("inf"), system.cluster)
-            self._fault_state = ClusterFaultState(system.cluster)
-            self._pending_faults = list(config.faults)
-        if trace.is_empty:
-            return
-        start = trace[0].arrival_time
-        end = trace[-1].arrival_time
-        window_start = start
-        index = 0
-        while window_start <= end:
-            w_start = window_start
-            window_end = w_start + config.window_s
-            window = trace.window(w_start, window_end)
-            window_start = window_end
-            sync = self._apply_due_faults(w_start, label)
-            if sync is not None and self._carry_sync is not None:
-                sync = _merge_sync(self._carry_sync, sync)
-                self._carry_sync = None
-            if window.is_empty:
-                self._carry_sync = sync
-                continue
-            self._degraded_now = bool(sync is not None and sync.degraded)
-            if sync is not None and sync.unservable:
-                telemetry, result, served_plan = self._outage_window(
-                    index, w_start, window_end, window, sync, label
-                )
-                if self.on_window is not None:
-                    self.on_window(telemetry)
-                yield telemetry, result, served_plan
-                index += 1
-                continue
-            served_plan = system.require_plan()
-            served_plan_id = plan_signature(served_plan)
-            faults, fault_notes = self._intra_window_faults(w_start, window_end)
-            if faults is not None:
-                self._degraded_now = True
-            health = self.plan_health(window)
-            admitted, num_shed = self._admit(window, health)
-            result = system.serve(
-                admitted,
-                label=f"{label}[{index}]",
-                faults=faults,
-                retry=config.retry_policy,
-            )
-            system.monitor.heartbeat_all(window_end)
-            telemetry = self._measure(
-                index, w_start, window_end, result, health,
-                num_shed, served_plan_id,
-            )
-            if sync is not None:
-                telemetry.faults = sync.descriptions + fault_notes
-                telemetry.degraded = sync.degraded or faults is not None
-                telemetry.num_gpus_alive = sync.num_alive
-                telemetry.replan_trigger = sync.trigger
-            profile, objectives = resolve_slo_objectives(slo_config, telemetry.snapshot())
-            telemetry.profile = profile
-            report = evaluate_slo_objectives(telemetry.snapshot(), objectives, profile=profile)
-            events = self.tracker.update(
-                report, time=window_end, window_index=index, context=label
-            )
-            telemetry.breaches = tuple(events)
-            for event in events:
-                if self.on_breach is not None:
-                    self.on_breach(event)
-            telemetry.plan_changed = self._adapt(events, admitted, label)
-            self._last_window = admitted
-            if self.on_window is not None:
-                self.on_window(telemetry)
-            yield telemetry, result, served_plan
-            index += 1
-        # Fold the final window's events so the fault log covers the whole run
-        # (the loop exits before their boundary would otherwise come due).
-        self._apply_due_faults(window_start, label)
-
     # ------------------------------------------------------------------ faults
-    def _apply_due_faults(self, boundary: float, label: str) -> Optional[_FaultSync]:
-        """Fold fault events due before the ``boundary`` into the serving system.
+    def _fold_due_events(self, boundary: float) -> List[AppliedFault]:
+        """Fold pending events due before ``boundary`` into the fault state and log.
 
-        ``boundary`` is the start of the window about to be served: events
-        from already-served windows (whose capacity effect the engine already
-        applied in-run) are folded through the :class:`ClusterFaultState`
-        (idempotent against overlapping fail/recover sequences), the system's
-        cluster, network and straggler view is re-synced, and capacity changes
-        trigger the failure/recovery replan chain.  Events inside the upcoming
-        window stay pending — :meth:`_intra_window_faults` compiles them for
-        the engine.  Returns ``None`` when fault injection is off.
+        Each event goes through the :class:`ClusterFaultState` (idempotent
+        against overlapping fail/recover sequences) and gets one fault-log
+        entry; capacity-loss entries wait for the next successful failure
+        replan.  Returns what each event changed, in order.
         """
-        state = self._fault_state
-        if state is None:
-            return None
-        system = self.system
-        config = self.config
-        descriptions: List[str] = []
-        lost: set = set()
-        gained: set = set()
-        network_changed = False
-        slowdown_changed = False
+        deltas: List[AppliedFault] = []
         while self._pending_faults and self._pending_faults[0].time < boundary:
             event = self._pending_faults.pop(0)
-            delta = state.apply(event)
-            descriptions.append(event.describe())
-            lost.update(delta.removed)
-            gained.update(delta.revived)
-            network_changed = network_changed or delta.network_changed
-            slowdown_changed = slowdown_changed or delta.slowdown_changed
+            delta = self._fault_state.apply(event)  # type: ignore[union-attr]
+            deltas.append(delta)
             entry: Dict[str, object] = {
                 "time": event.time,
                 "kind": event.kind.value,
@@ -873,20 +699,44 @@ class LiveServer:
             self._fault_log.append(entry)
             if event.kind in CAPACITY_LOSS_KINDS and delta.removed:
                 self._awaiting_replan.append(entry)
+        return deltas
+
+    def _apply_due_faults(self, boundary: float) -> Tuple[Tuple[str, ...], str]:
+        """Sync fault events due before the ``boundary`` into the serving system.
+
+        ``boundary`` is the start of the window about to be served: events
+        from already-served windows (whose capacity effect the engine already
+        applied in-run) are folded (:meth:`_fold_due_events`), the system's
+        cluster, network and straggler view is re-synced, and capacity changes
+        trigger the failure/recovery replan chain.  Events inside the upcoming
+        window stay pending — :meth:`_intra_window_faults` compiles them for
+        the engine.  Afterwards ``_unservable`` tells whether the installed
+        plan can serve the window.
+
+        Returns
+        -------
+        Tuple[Tuple[str, ...], str]
+            Descriptions of the events applied at this boundary and the
+            replan installed here (``""`` / ``"failure"`` / ``"recovery"``);
+            ``((), "")`` when fault injection is off.
+        """
+        state = self._fault_state
+        if state is None:
+            return (), ""
+        system = self.system
+        config = self.config
+        deltas = self._fold_due_events(boundary)
+        descriptions = tuple(delta.event.describe() for delta in deltas)
+        lost = {gpu for delta in deltas for gpu in delta.removed}
+        gained = {gpu for delta in deltas for gpu in delta.revived}
         if state.outage:
             # Total loss: nothing to sync the system against; windows are
-            # recorded as zero-attainment outages until capacity recovers.
+            # served with every arrival dropped until capacity recovers.
             self._unservable = True
             self._system_stale = True
-            return _FaultSync(
-                descriptions=tuple(descriptions),
-                unservable=True,
-                degraded=True,
-                num_alive=0,
-                outage=True,
-            )
+            return descriptions, ""
         was_unservable = self._unservable
-        if lost or gained or network_changed or self._system_stale:
+        if lost or gained or any(d.network_changed for d in deltas) or self._system_stale:
             cluster = state.current_cluster()
             if cluster is not None:
                 system.set_cluster(
@@ -894,7 +744,7 @@ class LiveServer:
                     reason="fault injection: "
                     + ("; ".join(descriptions) or "re-sync after outage"),
                 )
-        if slowdown_changed or self._system_stale:
+        if any(d.slowdown_changed for d in deltas) or self._system_stale:
             system.apply_gpu_slowdowns(state.active_slowdowns(), reason="fault injection")
         self._system_stale = False
         trigger = ""
@@ -912,7 +762,7 @@ class LiveServer:
         elif gained and config.reschedule_on_recovery:
             validate_window = self._last_window if config.validate_reschedule else None
             reason = f"capacity recovery ({'; '.join(descriptions)})"
-            if self._attempt_replan((config.recovery_mode,), reason, validate_window):
+            if self._attempt_replan((_RECOVERY_MODE,), reason, validate_window):
                 trigger = "recovery"
         plan = system.require_plan()
         alive = set(system.cluster.gpu_ids)
@@ -923,14 +773,7 @@ class LiveServer:
                 entry["replan_ok"] = True
                 entry["replanned_at"] = boundary
             self._awaiting_replan = []
-        return _FaultSync(
-            descriptions=tuple(descriptions),
-            trigger=trigger,
-            unservable=self._unservable,
-            degraded=state.degraded,
-            num_alive=len(alive),
-            outage=False,
-        )
+        return descriptions, trigger
 
     def _intra_window_faults(
         self, start: float, end: float
@@ -976,8 +819,8 @@ class LiveServer:
         raises :class:`~repro.core.exceptions.SchedulingError` (or yields an
         unservable plan, :class:`~repro.core.exceptions.InvalidPlanError`)
         falls through to the next; when every strategy fails, the consecutive-failure
-        counter advances and — after ``replan_max_retries`` failures — replan
-        attempts are suppressed for ``replan_backoff_windows`` boundaries.
+        counter advances and — after ``_REPLAN_MAX_RETRIES`` failures — the
+        next ``_REPLAN_BACKOFF_WINDOWS`` attempts are skipped.
         """
         if self._replan_cooldown > 0:
             self._replan_cooldown -= 1
@@ -993,57 +836,10 @@ class LiveServer:
             self._replan_failures = 0
             return installed is not None
         self._replan_failures += 1
-        if self._replan_failures >= self.config.replan_max_retries:
-            self._replan_cooldown = self.config.replan_backoff_windows
+        if self._replan_failures >= _REPLAN_MAX_RETRIES:
+            self._replan_cooldown = _REPLAN_BACKOFF_WINDOWS
             self._replan_failures = 0
         return False
-
-    def _outage_window(
-        self,
-        index: int,
-        start: float,
-        end: float,
-        window: Trace,
-        sync: _FaultSync,
-        label: str,
-    ) -> Tuple[WindowTelemetry, SimulationResult, DeploymentPlan]:
-        """Record one window that arrived while no servable capacity existed.
-
-        Every arrival becomes an unfinished
-        :class:`~repro.core.types.RequestMetrics` with outcome
-        ``dropped_outage`` (an SLO miss), so the window reports
-        attainment 0 without aborting the run; SLO objectives still resolve
-        and breach events still fire.
-        """
-        system = self.system
-        slo_config = self.config.slo_config or auto_slo_config()
-        metrics = [
-            RequestMetrics(request=request, outcome=RequestOutcome.DROPPED_OUTAGE)
-            for request in window
-        ]
-        arrivals = [r.arrival_time for r in window]
-        result = SimulationResult(
-            MetricArrays.from_metrics(metrics),
-            makespan=end,
-            trace_duration=(max(arrivals) - min(arrivals)) if len(arrivals) >= 2 else 0.0,
-            label=f"{label}[{index}]",
-        )
-        rate = result.num_requests / (end - start) if end > start else 0.0
-        health = PlanHealth(rho=0.0, attainment=0.0, request_rate=rate)
-        telemetry = self._measure(index, start, end, result, health, 0, "")
-        telemetry.outage = True
-        telemetry.degraded = True
-        telemetry.faults = sync.descriptions
-        telemetry.num_gpus_alive = sync.num_alive
-        profile, objectives = resolve_slo_objectives(slo_config, telemetry.snapshot())
-        telemetry.profile = profile
-        report = evaluate_slo_objectives(telemetry.snapshot(), objectives, profile=profile)
-        events = self.tracker.update(report, time=end, window_index=index, context=label)
-        telemetry.breaches = tuple(events)
-        for event in events:
-            if self.on_breach is not None:
-                self.on_breach(event)
-        return telemetry, result, system.require_plan()
 
     def _adapt(self, events: List[BreachEvent], window: Trace, label: str) -> bool:
         """Run the online rescheduling policy after one window; return whether the plan changed."""
@@ -1081,48 +877,99 @@ class LiveServer:
             Windowed telemetry, per-window simulation results, the plan each
             window was served with, and every breach event fired.
         """
-        windows: List[WindowTelemetry] = []
-        results: List[SimulationResult] = []
-        plans: List[DeploymentPlan] = []
-        breaches: List[BreachEvent] = []
-        for telemetry, result, plan in self._serve_windows(trace, label):
-            windows.append(telemetry)
-            results.append(result)
-            plans.append(plan)
-            breaches.extend(telemetry.breaches)
-        return LiveServeReport(
-            windows=windows,
-            results=results,
-            served_plans=plans,
-            breaches=breaches,
-            label=label,
-            fault_log=list(self._fault_log),
+        system = self.system
+        config = self.config
+        slo_config = config.slo_config or auto_slo_config()
+        system.require_plan()
+        self._reset()
+        if config.faults is not None and len(config.faults) > 0:
+            # Times are checked per window; validate ids/counts up front.
+            config.faults.validate(float("inf"), system.cluster)
+            self._fault_state = ClusterFaultState(system.cluster)
+            self._pending_faults = list(config.faults)
+        report = LiveServeReport(
+            windows=[], results=[], served_plans=[], breaches=[], label=label,
+            fault_log=self._fault_log,
         )
-
-    async def stream(self, trace: Trace, label: str = "live", time_warp: float = 0.0):
-        """Serve a trace as an async generator of :class:`WindowTelemetry`.
-
-        Parameters
-        ----------
-        trace:
-            The request trace to replay.
-        label:
-            Run label stamped onto window results and breach events.
-        time_warp:
-            Real seconds to sleep per simulated window second.  ``0`` (default)
-            only yields control to the event loop between windows; ``1.0``
-            paces the replay in real time.
-
-        Yields
-        ------
-        WindowTelemetry
-            One record per served window, as soon as it is measured.
-        """
-        import asyncio
-
-        for telemetry, _result, _plan in self._serve_windows(trace, label):
-            yield telemetry
-            await asyncio.sleep(self.config.window_s * time_warp)
+        if trace.is_empty:
+            return report
+        end = trace[-1].arrival_time
+        window_start = trace[0].arrival_time
+        # Boundary notes and replans of windows without arrivals carry to the
+        # next window that has some.
+        notes: Tuple[str, ...] = ()
+        trigger = ""
+        while window_start <= end:
+            w_start = window_start
+            window_end = w_start + config.window_s
+            window = trace.window(w_start, window_end)
+            window_start = window_end
+            applied, replanned = self._apply_due_faults(w_start)
+            notes += applied
+            trigger = replanned or trigger
+            if window.is_empty:
+                continue
+            index = len(report.windows)
+            served_plan = system.require_plan()
+            unservable = self._unservable
+            if unservable:
+                # No servable plan: every arrival is dropped, never routed.
+                timeline, in_engine = None, ()
+                health = PlanHealth(rho=0.0, attainment=0.0, request_rate=0.0)
+                admitted, num_shed = window, 0
+                result = SimulationResult(
+                    MetricArrays.dropped_outage(window.requests),
+                    makespan=window_end,
+                    trace_duration=window.duration,
+                    label=f"{label}[{index}]",
+                )
+            else:
+                timeline, in_engine = self._intra_window_faults(w_start, window_end)
+                health = self.plan_health(window)
+                admitted, num_shed = self._admit(window, health)
+                result = system.serve(
+                    admitted,
+                    label=f"{label}[{index}]",
+                    faults=timeline,
+                    retry=config.retry_policy,
+                )
+            telemetry = self._measure(
+                index, w_start, window_end, result, health, num_shed,
+                "" if unservable else plan_signature(served_plan),
+            )
+            state = self._fault_state
+            if state is not None:
+                telemetry.outage = unservable
+                telemetry.degraded = state.degraded or timeline is not None
+                telemetry.faults = notes + in_engine
+                telemetry.num_gpus_alive = len(state.alive_gpu_ids)
+                telemetry.replan_trigger = trigger
+                notes, trigger = (), ""
+            profile, objectives = resolve_slo_objectives(slo_config, telemetry.snapshot())
+            telemetry.profile = profile
+            slo_report = evaluate_slo_objectives(
+                telemetry.snapshot(), objectives, profile=profile
+            )
+            events = self.tracker.update(
+                slo_report, time=window_end, window_index=index, context=label
+            )
+            telemetry.breaches = tuple(events)
+            for event in events:
+                if self.on_breach is not None:
+                    self.on_breach(event)
+            if not unservable:
+                telemetry.plan_changed = self._adapt(events, admitted, label)
+                self._last_window = admitted
+            if self.on_window is not None:
+                self.on_window(telemetry)
+            report.windows.append(telemetry)
+            report.results.append(result)
+            report.served_plans.append(served_plan)
+            report.breaches.extend(events)
+        # Log the final window's events so the fault log covers the whole run;
+        # no traffic is left to serve, so nothing is synced or replanned.
+        self._fold_due_events(window_start)
+        return report
 
 
 __all__ = [

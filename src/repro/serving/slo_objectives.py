@@ -6,7 +6,8 @@ and checks it against a declarative *SLO-objective config*.  The config either
 lists one flat set of objectives or, in profile form, maps *profiles* (e.g.
 ``"realtime"`` / ``"degraded"``) to objective lists plus an ``auto`` block
 telling :func:`infer_slo_profile` how to pick the profile from the live
-snapshot.  Objectives that fail produce :class:`BreachEvent` records, which the
+snapshot.  Objectives that fail produce :class:`BreachEvent` records —
+edge-triggered by :class:`SLOBreachTracker`, once per crossing — which the
 live loop feeds to the §3.4 lightweight rescheduler.
 
 Config schema (the profile form)::
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 #: Comparison operators an objective may use.
 SLO_OPS: Tuple[str, ...] = (">=", "<=")
@@ -150,7 +151,7 @@ class SLOReport:
 class BreachEvent:
     """One SLO-objective crossing from passing to failing.
 
-    Emitted by :class:`~repro.serving.monitor.SLOBreachTracker` exactly once
+    Emitted by :class:`SLOBreachTracker` exactly once
     per crossing: a persistently failing objective does not re-fire until it
     has recovered (passed) and failed again.
     """
@@ -211,6 +212,80 @@ class BreachEvent:
             value=None if data.get("value") is None else float(data["value"]),  # type: ignore[arg-type]
             context=str(data.get("context", "")),
         )
+
+
+class SLOBreachTracker:
+    """Edge-triggered breach bookkeeping over per-window SLO reports.
+
+    A breach event fires when an objective crosses from passing (or unseen) to
+    failing; while the objective keeps failing in subsequent windows no further
+    event is emitted.  When the objective passes again it is re-armed, so the
+    next crossing fires a fresh event.  This mirrors how alerting pipelines
+    de-duplicate a sustained violation into one page.
+    """
+
+    def __init__(self) -> None:
+        self._breached: Set[str] = set()
+
+    def update(
+        self,
+        report: SLOReport,
+        time: float,
+        window_index: int = 0,
+        context: str = "",
+    ) -> List[BreachEvent]:
+        """Fold one window's report into the tracker and return new breaches.
+
+        Parameters
+        ----------
+        report:
+            The window's :class:`SLOReport`.
+        time:
+            Serving-clock time stamped onto emitted events (the window end).
+        window_index:
+            Index of the window, recorded on emitted events.
+        context:
+            Free-form serving context (scenario name, trace label).
+
+        Returns
+        -------
+        list of BreachEvent
+            One event per objective that *newly* crossed into failure this
+            window, in report order.  Objectives already breached stay silent;
+            objectives that passed are re-armed.
+        """
+        events: List[BreachEvent] = []
+        for outcome in report.outcomes:
+            name = outcome.objective.name
+            if outcome.passed:
+                self._breached.discard(name)
+                continue
+            if name in self._breached:
+                continue
+            self._breached.add(name)
+            events.append(
+                BreachEvent(
+                    time=time,
+                    window_index=window_index,
+                    profile=report.profile,
+                    objective=name,
+                    metric=outcome.objective.metric,
+                    op=outcome.objective.op,
+                    target=outcome.objective.target,
+                    value=outcome.value,
+                    context=context,
+                )
+            )
+        return events
+
+    @property
+    def breached_objectives(self) -> List[str]:
+        """Names of the objectives currently in a breached state, sorted."""
+        return sorted(self._breached)
+
+    def reset(self) -> None:
+        """Forget all breach state (every objective is re-armed)."""
+        self._breached.clear()
 
 
 def _as_objectives(items: Sequence[object]) -> List[SLOObjective]:
@@ -391,6 +466,7 @@ __all__ = [
     "ObjectiveOutcome",
     "SLOReport",
     "BreachEvent",
+    "SLOBreachTracker",
     "evaluate_slo_objectives",
     "infer_slo_profile",
     "resolve_slo_objectives",

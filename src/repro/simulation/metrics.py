@@ -9,9 +9,10 @@ The paper's evaluation reports two families of numbers:
 
 :class:`SimulationResult` wraps the per-request metrics of a simulator run and
 exposes those aggregates.  Its one storage is a :class:`MetricArrays` column
-block: the fast engine writes the columns directly, and every object-based
-producer (the reference engine, the co-located simulator, outage windows) goes
-through the single :meth:`MetricArrays.from_metrics` adapter.  Aggregates are
+block: the fast engine writes the columns directly, outage windows build their
+dropped rows with :meth:`MetricArrays.dropped_outage`, and every object-based
+producer (the reference engine, the co-located simulator) goes through the
+single :meth:`MetricArrays.from_metrics` adapter.  Aggregates are
 computed vectorized over the columns; :attr:`SimulationResult.metrics` is a lazy
 view that builds :class:`~repro.core.types.RequestMetrics` objects on first
 access — a million-request run aggregates without ever building a million
@@ -39,6 +40,20 @@ from repro.core.types import (
 #: replica-id column value of a request never routed to a replica
 #: (``None`` on the :class:`~repro.core.types.RequestMetrics` view)
 NO_REPLICA = -1
+
+
+def _request_columns(requests: Sequence[Request]) -> Dict[str, np.ndarray]:
+    """The request columns of a :class:`MetricArrays` block, in list order."""
+    n = len(requests)
+    workload = np.empty(n, dtype=object)
+    workload[:] = [r.workload for r in requests]
+    return {
+        "request_id": np.fromiter((r.request_id for r in requests), np.int64, count=n),
+        "arrival_time": np.fromiter((r.arrival_time for r in requests), np.float64, count=n),
+        "input_length": np.fromiter((r.input_length for r in requests), np.int64, count=n),
+        "output_length": np.fromiter((r.output_length for r in requests), np.int64, count=n),
+        "workload": workload,
+    }
 
 
 @dataclass
@@ -112,15 +127,8 @@ completion_time:
         def replica(group_id: Optional[int]) -> int:
             return NO_REPLICA if group_id is None else group_id
 
-        requests = [m.request for m in metrics]
-        workload = np.empty(n, dtype=object)
-        workload[:] = [r.workload for r in requests]
         return cls(
-            request_id=column((r.request_id for r in requests), np.int64),
-            arrival_time=column((r.arrival_time for r in requests), np.float64),
-            input_length=column((r.input_length for r in requests), np.int64),
-            output_length=column((r.output_length for r in requests), np.int64),
-            workload=workload,
+            **_request_columns([m.request for m in metrics]),
             enqueue_time=column((m.enqueue_time for m in metrics), np.float64),
             prefill_start=column((m.prefill_start for m in metrics), np.float64),
             first_token_time=column((m.first_token_time for m in metrics), np.float64),
@@ -131,6 +139,30 @@ completion_time:
             decode_replica=column((replica(m.decode_replica) for m in metrics), np.int64),
             outcome=column((int(m.resolved_outcome()) for m in metrics), np.int64),
             attempts=column((m.attempts for m in metrics), np.int64),
+        )
+
+    @classmethod
+    def dropped_outage(cls, requests: Sequence[Request]) -> "MetricArrays":
+        """Column block of requests dropped by an outage before being routed.
+
+        Every row is unfinished with outcome ``dropped_outage``, zero
+        timestamps and attempts, and :data:`NO_REPLICA` replica ids — the
+        columns :meth:`from_metrics` builds for
+        ``RequestMetrics(request, outcome=RequestOutcome.DROPPED_OUTAGE)``.
+        """
+        n = len(requests)
+        return cls(
+            **_request_columns(requests),
+            enqueue_time=np.zeros(n, dtype=np.float64),
+            prefill_start=np.zeros(n, dtype=np.float64),
+            first_token_time=np.zeros(n, dtype=np.float64),
+            kv_transfer_done=np.zeros(n, dtype=np.float64),
+            completion_time=np.zeros(n, dtype=np.float64),
+            finished=np.zeros(n, dtype=bool),
+            prefill_replica=np.full(n, NO_REPLICA, dtype=np.int64),
+            decode_replica=np.full(n, NO_REPLICA, dtype=np.int64),
+            outcome=np.full(n, int(RequestOutcome.DROPPED_OUTAGE), dtype=np.int64),
+            attempts=np.zeros(n, dtype=np.int64),
         )
 
     def outcome_counts(self) -> Dict[str, int]:

@@ -7,7 +7,6 @@ windowed metrics exactly.  README.md and docs/architecture.md both point at
 this file for that guarantee.
 """
 
-import asyncio
 import json
 
 import numpy as np
@@ -214,23 +213,15 @@ class TestTelemetry:
         assert report.worst_window_attainment() == min(w.attainment_e2e for w in report.windows)
         assert report.merged.num_requests == sum(w.num_requests for w in report.windows)
 
-    def test_stream_yields_same_telemetry(self, system_factory, live_trace):
-        system = system_factory()
-        config = LiveServeConfig(
-            window_s=WINDOW_S, reschedule_on_breach=False, reschedule_on_shift=False
+    def test_on_window_streams_same_telemetry(self, system_factory, live_trace):
+        config = LiveServeConfig(window_s=WINDOW_S, slo_config=IMPOSSIBLE_SLO)
+        streamed, fired = [], []
+        server = LiveServer(
+            system_factory(), config=config, on_window=streamed.append, on_breach=fired.append
         )
-
-        async def collect():
-            records = []
-            async for telemetry in LiveServer(system, config=config).stream(
-                live_trace, label="stream"
-            ):
-                records.append(telemetry)
-            return records
-
-        streamed = asyncio.run(collect())
-        reference = LiveServer(system_factory(), config=config).run(live_trace, label="stream")
-        assert streamed == reference.windows
+        report = server.run(live_trace, label="stream")
+        assert streamed == report.windows
+        assert fired == report.breaches and fired
 
 
 class TestConfigAndEdgeCases:
@@ -369,6 +360,59 @@ class TestInEngineFaults:
         delay = report.fault_stats()["mean_time_to_replan_s"]
         assert delay == pytest.approx(replanned.start - 6.0)
         assert 0.0 < delay < WINDOW_S
+
+    def test_plan_changes_count_replan_and_adaptation_in_one_window(
+        self, multi_system_factory, fault_trace
+    ):
+        """A window that installs a failure replan at its start and adapts at
+        its end is two plan changes, as the system's install log says."""
+        system = multi_system_factory()
+        victims = system.require_plan().prefill_groups[0].gpu_ids
+        # Losing a prefill replica pushes the estimated utilisation past the
+        # headroom objective only once the replanned (smaller) plan serves.
+        headroom = {
+            "objectives": [
+                {"name": "headroom", "metric": "estimated_rho", "op": "<=", "target": 0.5}
+            ]
+        }
+        config = LiveServeConfig(
+            window_s=WINDOW_S,
+            slo_config=headroom,
+            reschedule_on_shift=False,
+            validate_reschedule=False,
+            faults=FaultSchedule.from_events(
+                [FaultEvent(time=6.0, kind=FaultKind.GPU_PREEMPTION, gpu_ids=tuple(victims))]
+            ),
+        )
+        report = LiveServer(system, config=config).run(fault_trace, label="both")
+        both = [w for w in report.windows if w.plan_changed and w.replan_trigger == "failure"]
+        assert both, "the storm must produce a window with both kinds of plan change"
+        assert report.num_plan_changes == system.num_plan_changes == 2
+
+    def test_events_after_last_window_are_logged_not_replanned(
+        self, multi_system_factory, fault_trace
+    ):
+        system = multi_system_factory()
+        victims = system.require_plan().prefill_groups[0].gpu_ids
+        last_arrival = fault_trace[-1].arrival_time
+        config = LiveServeConfig(
+            window_s=WINDOW_S,
+            reschedule_on_breach=False,
+            reschedule_on_shift=False,
+            faults=FaultSchedule.from_events(
+                [
+                    FaultEvent(
+                        time=last_arrival, kind=FaultKind.GPU_PREEMPTION, gpu_ids=tuple(victims)
+                    )
+                ]
+            ),
+        )
+        report = LiveServer(system, config=config).run(fault_trace, label="tail")
+        (entry,) = report.fault_log
+        assert entry["time"] == last_arrival and not entry["replan_ok"]
+        # No traffic is left after the last window, so nothing replans.
+        assert report.num_plan_changes == system.num_plan_changes == 0
+        assert system.plan is report.served_plans[-1]
 
     def test_fault_stats_deterministic_replay(self, multi_system_factory, fault_trace):
         _, first = self._run(multi_system_factory, fault_trace, self.RETRY)

@@ -158,7 +158,7 @@ def test_serve_smoke_per_scenario(scenario, cloud_cluster, model_30b, cloud_plan
 @pytest.mark.integration
 def test_scenario_sweep_end_to_end(cloud_cluster, model_30b, cloud_plan):
     """The concurrent sweep covers all scenarios, including failure injection."""
-    sweep = ScenarioSweep(smoke_scenarios(), seed=0, live_config=LiveServeConfig(window_s=4.0))
+    sweep = ScenarioSweep(smoke_scenarios(), seed=0, live_config=LiveServeConfig(window_s=3.0))
     outcomes = sweep.evaluate(cloud_cluster, model_30b, cloud_plan)
     assert set(outcomes) == set(list_scenarios())
     for name, outcome in outcomes.items():

@@ -1,17 +1,20 @@
 """Tests for the discrete-event simulators (phase-splitting and co-located)."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from repro.core.exceptions import SimulationError
-from repro.core.types import Phase, SLOSpec, SLOType
+from repro.core.types import Phase, RequestMetrics, RequestOutcome, SLOSpec, SLOType
 from repro.costmodel.reference import a100_reference_latency
 from repro.parallelism.enumeration import deduce_parallel_plan
 from repro.simulation.colocated import ColocatedSimulator
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.events import Event, EventKind, EventQueue
-from repro.simulation.metrics import SimulationResult, merge_results
+from repro.simulation.metrics import NO_REPLICA, MetricArrays, SimulationResult, merge_results
 from repro.workload.generator import generate_requests
+from repro.workload.spec import CONVERSATION_WORKLOAD
 
 
 class TestEventQueue:
@@ -106,8 +109,6 @@ class TestServingSimulator:
         assert sim(heavy).mean(SLOType.E2E) > sim(light).mean(SLOType.E2E)
 
     def test_compressed_kv_transport_is_faster(self, small_hetero_cluster, small_plan, model_30b, small_trace):
-        from dataclasses import replace
-
         plan16 = replace(small_plan, kv_transport_bits=16)
         r4 = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)
         r16 = ServingSimulator(small_hetero_cluster, plan16, model_30b).run(small_trace)
@@ -299,3 +300,41 @@ class TestSimulationResult:
     def test_percentiles_ordered(self, small_hetero_cluster, small_plan, model_30b, small_trace):
         result = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)
         assert result.percentile(SLOType.E2E, 50) <= result.percentile(SLOType.E2E, 99)
+
+
+class TestDroppedOutageRows:
+    """``MetricArrays.dropped_outage`` builds the rows of an outage window."""
+
+    @staticmethod
+    def _requests(n):
+        trace = generate_requests(CONVERSATION_WORKLOAD, 2.0, num_requests=max(n, 1), seed=11)
+        tiers = ("tenant:gold", "tenant:bronze")
+        return [replace(r, workload=tiers[i % 2]) for i, r in enumerate(trace)][:n]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_columns_match_the_object_adapter(self, n):
+        requests = self._requests(n)
+        direct = MetricArrays.dropped_outage(requests)
+        adapted = MetricArrays.from_metrics(
+            [RequestMetrics(request=r, outcome=RequestOutcome.DROPPED_OUTAGE) for r in requests]
+        )
+        for field in fields(MetricArrays):
+            got, want = getattr(direct, field.name), getattr(adapted, field.name)
+            assert got.dtype == want.dtype and got.shape == want.shape == (n,), field.name
+            if got.dtype == object:
+                assert got.tolist() == want.tolist(), field.name
+            else:
+                assert got.tobytes() == want.tobytes(), field.name
+
+    def test_rows_are_dropped_and_never_routed(self):
+        requests = self._requests(7)
+        rows = MetricArrays.dropped_outage(requests)
+        assert (rows.prefill_replica == NO_REPLICA).all()
+        assert (rows.decode_replica == NO_REPLICA).all()
+        assert (rows.attempts == 0).all() and not rows.finished.any()
+        assert (rows.outcome == int(RequestOutcome.DROPPED_OUTAGE)).all()
+        assert rows.outcome_counts()["dropped_outage"] == 7
+        assert rows.workload.tolist() == [r.workload for r in requests]
+        for m in rows.materialize():
+            assert m.prefill_replica is None and m.decode_replica is None
+            assert m.outcome is RequestOutcome.DROPPED_OUTAGE

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.serving.monitor import SLOBreachTracker
 from repro.serving.slo_objectives import (
     DEFAULT_PROFILE,
     BreachEvent,
+    SLOBreachTracker,
     SLOObjective,
     auto_slo_config,
     evaluate_slo_objectives,
