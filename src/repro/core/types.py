@@ -77,8 +77,6 @@ class RequestOutcome(enum.IntEnum):
     TIMED_OUT = 3
     #: dropped — no surviving capacity to retry on, or retry budget exhausted
     DROPPED_OUTAGE = 4
-    #: refused by the admission front-end (never dispatched to a replica)
-    SHED = 5
 
     @property
     def terminal(self) -> bool:

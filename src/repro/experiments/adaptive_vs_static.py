@@ -62,11 +62,7 @@ DEFAULT_SCENARIO_OVERRIDES = {
 
 def _live_config(window_s: float, adaptive: bool) -> LiveServeConfig:
     """Live-loop config for one serving mode (rescheduling on or off)."""
-    return LiveServeConfig(
-        window_s=window_s,
-        reschedule_on_breach=adaptive,
-        reschedule_on_shift=adaptive,
-    )
+    return LiveServeConfig(window_s=window_s, reschedule_online=adaptive)
 
 
 def run(

@@ -82,14 +82,18 @@ def default_fault_storm() -> Tuple[FaultProcess, ...]:
 
 
 def _live_config(window_s: float, adaptive: bool, faults: FaultSchedule) -> LiveServeConfig:
-    """Live-loop config for one serving mode, with the shared fault schedule."""
+    """Live-loop config for one serving mode, with the shared fault schedule.
+
+    The static arm neither reschedules online nor re-optimises after a
+    capacity change: replan order ``("none",)`` only drops dead groups.
+    """
+    if adaptive:
+        return LiveServeConfig(window_s=window_s, faults=faults)
     return LiveServeConfig(
         window_s=window_s,
         faults=faults,
-        reschedule_on_breach=adaptive,
-        reschedule_on_shift=adaptive,
-        reschedule_on_failure=adaptive,
-        reschedule_on_recovery=adaptive,
+        reschedule_online=False,
+        failure_mode_order=("none",),
     )
 
 

@@ -116,9 +116,10 @@ class ScenarioSweep:
         breaches, outages).
     live_config:
         :class:`~repro.serving.live.LiveServeConfig` for live serving (window
-        length, SLO-objective config, admission ceiling, retry policy);
-        defaults to ``LiveServeConfig()``.  The sweep overrides ``faults`` and
-        ``failure_mode_order`` per scenario.
+        length, SLO-objective config, retry policy); defaults to
+        ``LiveServeConfig()``.  The sweep overrides ``faults`` and
+        ``failure_mode_order`` per scenario, and ``reschedule_online`` is
+        kept only when ``adaptive``.
     """
 
     EXECUTORS = ("thread", "process")
@@ -247,27 +248,24 @@ class ScenarioSweep:
         trace = scenario.build_trace(seed=self._scenario_seed(scenario))
         system = self._build_system(scenario, cluster, model)
         system.adopt_plan(plan, reason=f"scenario sweep: {scenario.name}")
-        # Plan changes are installs *after* the adoption just recorded — counted
-        # against this snapshot rather than by subtracting a hard-coded 1, so a
-        # system serving without a prior install can never go negative.
-        installs_at_adoption = sum(1 for e in system.events if e.kind == "plan_installed")
 
         schedule = scenario.fault_schedule(
             cluster, seed=self._derive_seed(scenario.name, "failures")
         )
         windows: List[WindowTelemetry] = []
+        plan_changes = 0
         if len(schedule) or self.adaptive:
             base = self.live_config or LiveServeConfig()
             config = replace(
                 base,
                 faults=schedule.validate(scenario.duration, cluster),
                 failure_mode_order=tuple(dict.fromkeys((scenario.rescheduling_mode(), "none"))),
-                reschedule_on_breach=base.reschedule_on_breach and self.adaptive,
-                reschedule_on_shift=base.reschedule_on_shift and self.adaptive,
+                reschedule_online=base.reschedule_online and self.adaptive,
             )
             live_report = LiveServer(system, config).run(trace, label=scenario.name)
             result = live_report.merged
             windows = live_report.windows
+            plan_changes = live_report.num_plan_changes
         else:
             result = system.serve(trace, label=scenario.name)
 
@@ -275,8 +273,6 @@ class ScenarioSweep:
         per_tenant: Dict[str, float] = {}
         if isinstance(scenario, MultiTenantSLOTiersScenario):
             per_tenant = self._tenant_attainment(scenario, result, model)
-        installs = sum(1 for e in system.events if e.kind == "plan_installed")
-        plan_changes = max(0, installs - installs_at_adoption)
         return ScenarioOutcome(
             scenario=scenario.name,
             description=scenario.description,

@@ -10,18 +10,16 @@ window it
 1. estimates the health of the installed plan for the window's observed
    request mix with the M/G/1 :class:`~repro.scheduling.estimator.SLOEstimator`
    (per-replica utilisation ``rho`` and routed attainment);
-2. optionally sheds load at admission when the estimator reports the plan
-   would run beyond a configured utilisation ceiling;
-3. serves the admitted window through the engine and measures a telemetry
-   snapshot (:class:`WindowTelemetry` — attainment, queue wait, per-tenant
-   breakdown, plan id);
-4. resolves the declarative SLO-objective config to a profile
+2. serves the window through the engine and measures a telemetry snapshot
+   (:class:`WindowTelemetry` — attainment, queue wait, per-tenant breakdown,
+   plan id);
+3. resolves the declarative SLO-objective config to a profile
    (realtime/degraded, see :mod:`repro.serving.slo_objectives`), evaluates the
    objectives, and emits edge-triggered breach events; and
-5. on a breach — or a profiler-detected workload shift — triggers the §3.4
+4. on a breach — or a profiler-detected workload shift — triggers the §3.4
    lightweight rescheduler online, so the next window is served by a plan
    re-designated for the observed workload; and
-6. optionally replays a :class:`~repro.faults.FaultSchedule` against the loop:
+5. optionally replays a :class:`~repro.faults.FaultSchedule` against the loop:
    capacity events inside the window are compiled into a replica-level
    :class:`~repro.faults.FaultTimeline` and handed to the engine, which
    preempts in-flight work at the exact fault instant and retries it under the
@@ -32,6 +30,11 @@ window it
    degradation and straggler slowdowns reprice the engine transparently, and a
    window with no servable plan (total-capacity outage, or every replan
    failed) is recorded with every arrival dropped instead of crashing the run.
+
+One switch, :attr:`LiveServeConfig.reschedule_online`, gates the workload
+reaction (step 4); the fault reaction follows
+:attr:`LiveServeConfig.failure_mode_order` — ``("none",)`` drops dead groups
+without re-optimising and leaves rejoined GPUs idle.
 
 Every window — served or not — goes through one tail: measure the telemetry
 record, fill its fault fields, resolve the SLO profile, update the breach
@@ -46,7 +49,7 @@ test suite).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -78,6 +81,13 @@ _RECOVERY_MODE = "full"
 _REPLAN_MAX_RETRIES = 2
 #: Replan attempts skipped once the loop backs off.
 _REPLAN_BACKOFF_WINDOWS = 1
+#: JSON decoders of the scalar :class:`WindowTelemetry` fields, by annotation.
+_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _count_installs(system: ThunderServe) -> int:
+    """Number of ``plan_installed`` events in the system's event log."""
+    return sum(1 for e in system.events if e.kind == "plan_installed")
 
 
 def plan_signature(plan: DeploymentPlan) -> str:
@@ -129,9 +139,8 @@ class WindowTelemetry:
     plan_id: str
     #: SLO profile the window was judged under (``realtime`` / ``degraded`` / ...)
     profile: str
-    #: requests that arrived / were shed at admission / finished in the window
+    #: requests that arrived / finished in the window
     num_requests: int
-    num_shed: int
     num_finished: int
     #: observed arrival rate over the window (requests/s)
     request_rate: float
@@ -141,7 +150,7 @@ class WindowTelemetry:
     attainment_tpot: float
     #: mean simulated queue wait of finished requests (0 when none finished)
     mean_queue_wait: float
-    #: fraction of admitted requests that finished within the window horizon
+    #: fraction of arrived requests that finished within the window horizon
     completion_rate: float
     #: estimator utilisation / attainment of the plan for the observed mix
     estimated_rho: float
@@ -162,13 +171,15 @@ class WindowTelemetry:
     num_gpus_alive: int = -1
     #: capacity replan installed at this window's start (``""``/``failure``/``recovery``)
     replan_trigger: str = ""
-    #: request count per :class:`~repro.core.types.RequestOutcome` name,
-    #: including admission sheds (sums to ``num_requests + num_shed``)
+    #: request count per :class:`~repro.core.types.RequestOutcome` name
+    #: (sums to ``num_requests``)
     outcome_counts: Dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> Dict[str, float]:
         """Return the metric mapping SLO objectives are evaluated against."""
-        total = self.num_requests + self.num_shed
+        failed = self.outcome_counts.get("timed_out", 0) + self.outcome_counts.get(
+            "dropped_outage", 0
+        )
         return {
             "attainment_e2e": self.attainment_e2e,
             "attainment_ttft": self.attainment_ttft,
@@ -179,83 +190,45 @@ class WindowTelemetry:
             "estimated_attainment": self.estimated_attainment,
             "request_rate": self.request_rate,
             "num_requests": float(self.num_requests),
-            "shed_fraction": self.num_shed / total if total else 0.0,
-            "failed_fraction": (
-                (
-                    self.outcome_counts.get("timed_out", 0)
-                    + self.outcome_counts.get("dropped_outage", 0)
-                )
-                / total
-                if total
-                else 0.0
-            ),
+            "failed_fraction": failed / self.num_requests if self.num_requests else 0.0,
         }
 
     def to_dict(self) -> Dict[str, object]:
         """Return the JSON-serialisable dict form of the record."""
-        return {
-            "index": self.index,
-            "start": self.start,
-            "end": self.end,
-            "plan_id": self.plan_id,
-            "profile": self.profile,
-            "num_requests": self.num_requests,
-            "num_shed": self.num_shed,
-            "num_finished": self.num_finished,
-            "request_rate": self.request_rate,
-            "attainment_e2e": self.attainment_e2e,
-            "attainment_ttft": self.attainment_ttft,
-            "attainment_tpot": self.attainment_tpot,
-            "mean_queue_wait": self.mean_queue_wait,
-            "completion_rate": self.completion_rate,
-            "estimated_rho": self.estimated_rho,
-            "estimated_attainment": self.estimated_attainment,
-            "plan_changed": self.plan_changed,
-            "breaches": [b.to_dict() for b in self.breaches],
-            "per_tenant_attainment": dict(self.per_tenant_attainment),
-            "outage": self.outage,
-            "degraded": self.degraded,
-            "faults": list(self.faults),
-            "num_gpus_alive": self.num_gpus_alive,
-            "replan_trigger": self.replan_trigger,
-            "outcome_counts": dict(self.outcome_counts),
-        }
+        data: Dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "breaches":
+                value = [b.to_dict() for b in value]
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            data[f.name] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "WindowTelemetry":
-        """Rebuild a record from its dict form (inverse of :meth:`to_dict`)."""
-        return cls(
-            index=int(data["index"]),  # type: ignore[arg-type]
-            start=float(data["start"]),  # type: ignore[arg-type]
-            end=float(data["end"]),  # type: ignore[arg-type]
-            plan_id=str(data["plan_id"]),
-            profile=str(data["profile"]),
-            num_requests=int(data["num_requests"]),  # type: ignore[arg-type]
-            num_shed=int(data["num_shed"]),  # type: ignore[arg-type]
-            num_finished=int(data["num_finished"]),  # type: ignore[arg-type]
-            request_rate=float(data["request_rate"]),  # type: ignore[arg-type]
-            attainment_e2e=float(data["attainment_e2e"]),  # type: ignore[arg-type]
-            attainment_ttft=float(data["attainment_ttft"]),  # type: ignore[arg-type]
-            attainment_tpot=float(data["attainment_tpot"]),  # type: ignore[arg-type]
-            mean_queue_wait=float(data["mean_queue_wait"]),  # type: ignore[arg-type]
-            completion_rate=float(data["completion_rate"]),  # type: ignore[arg-type]
-            estimated_rho=float(data["estimated_rho"]),  # type: ignore[arg-type]
-            estimated_attainment=float(data["estimated_attainment"]),  # type: ignore[arg-type]
-            plan_changed=bool(data["plan_changed"]),
-            breaches=tuple(
-                BreachEvent.from_dict(b) for b in data.get("breaches", ())  # type: ignore[union-attr]
-            ),
-            per_tenant_attainment=dict(data.get("per_tenant_attainment", {})),  # type: ignore[arg-type]
-            outage=bool(data.get("outage", False)),
-            degraded=bool(data.get("degraded", False)),
-            faults=tuple(str(f) for f in data.get("faults", ())),  # type: ignore[union-attr]
-            num_gpus_alive=int(data.get("num_gpus_alive", -1)),  # type: ignore[arg-type]
-            replan_trigger=str(data.get("replan_trigger", "")),
-            outcome_counts={
-                str(k): int(v)  # type: ignore[call-overload]
-                for k, v in dict(data.get("outcome_counts", {})).items()  # type: ignore[call-overload]
-            },
-        )
+        """Rebuild a record from its dict form (inverse of :meth:`to_dict`).
+
+        Fields with a default may be absent (records written before the
+        field existed); the default fills in.
+        """
+        kwargs: Dict[str, object] = {}
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            if f.name == "breaches":
+                value = tuple(BreachEvent.from_dict(b) for b in value)  # type: ignore[union-attr]
+            elif f.type in _SCALARS:
+                value = _SCALARS[f.type](value)
+            elif f.type.startswith("Tuple"):
+                value = tuple(value)  # type: ignore[arg-type]
+            elif f.type.startswith("Dict"):
+                value = dict(value)  # type: ignore[call-overload]
+            kwargs[f.name] = value
+        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -270,17 +243,13 @@ class LiveServeConfig:
         Declarative SLO-objective config (flat or profile form, see
         :mod:`repro.serving.slo_objectives`); defaults to
         :func:`~repro.serving.slo_objectives.auto_slo_config`.
-    admission_max_rho:
-        Utilisation ceiling for the admission front-end: when the estimator
-        reports a window would run the hottest prefill replica beyond this,
-        excess arrivals are shed deterministically to bring it back under.
-        ``None`` (default) disables shedding — every request is admitted.
-    reschedule_on_breach:
-        Trigger the §3.4 lightweight rescheduler when a window emits breach
-        events.
-    reschedule_on_shift:
-        Fall back to the workload profiler's shift detector in windows without
-        breaches.
+    reschedule_online:
+        React to the workload: after each window, trigger the §3.4
+        lightweight rescheduler
+        (:meth:`~repro.serving.system.ThunderServe.reschedule_online`) when
+        the window emitted breach events or, failing that, when the workload
+        profiler detects a shift.  Off, the plan only changes through fault
+        replans.
     validate_reschedule:
         Shadow-validate every rescheduling candidate by replaying the window
         just served under it: the candidate is adopted only when it strictly
@@ -308,15 +277,6 @@ class LiveServeConfig:
         bounded-retry :class:`~repro.faults.RetryPolicy` with exponential
         backoff; pass :meth:`~repro.faults.RetryPolicy.drop_only` to cancel
         preempted work instead.
-    reschedule_on_failure:
-        React to capacity loss by replanning through ``failure_mode_order``.
-        When off, dead serving groups are still dropped (mode ``"none"``) so
-        the surviving replicas keep serving, but nothing re-optimises — the
-        static arm of a chaos comparison.
-    reschedule_on_recovery:
-        React to capacity recovery (GPU rejoin) with a full-scheduler replan
-        that re-expands onto the revived GPUs (the §3.4 flip-only rescheduler
-        cannot place groups on them).  When off, revived capacity stays idle.
     failure_mode_order:
         Replan strategies tried in order after a capacity loss; the first one
         that yields a servable plan wins.  Strategies are the Figure 11 modes
@@ -324,32 +284,31 @@ class LiveServeConfig:
         After two consecutive replan attempts in which every strategy failed,
         the loop skips the next attempt; meanwhile windows are served by the
         surviving plan — or recorded with every arrival dropped when no
-        servable plan exists.
+        servable plan exists.  The order also sets the reaction to capacity
+        recovery: a full-scheduler replan re-expands onto rejoined GPUs (the
+        §3.4 flip-only rescheduler cannot place groups on them) unless the
+        order is ``("none",)``, in which case dead groups are dropped,
+        nothing re-optimises and rejoined GPUs stay idle — the static arm of
+        a chaos comparison.
 
     Raises
     ------
     ValueError
-        If ``window_s`` is not positive, ``admission_max_rho`` is not in
-        ``(0, 1]``, or a replan mode is unknown.
+        If ``window_s`` is not positive, ``failure_mode_order`` is empty, or
+        a replan mode is unknown.
     """
 
     window_s: float = 30.0
     slo_config: Optional[Mapping[str, object]] = None
-    admission_max_rho: Optional[float] = None
-    reschedule_on_breach: bool = True
-    reschedule_on_shift: bool = True
+    reschedule_online: bool = True
     validate_reschedule: bool = True
     faults: Optional[FaultSchedule] = None
     retry_policy: Optional[RetryPolicy] = None
-    reschedule_on_failure: bool = True
-    reschedule_on_recovery: bool = True
     failure_mode_order: Tuple[str, ...] = ("lightweight", "none")
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ValueError("window_s must be positive")
-        if self.admission_max_rho is not None and not 0 < self.admission_max_rho <= 1:
-            raise ValueError("admission_max_rho must be in (0, 1]")
         modes = ThunderServe.RESCHEDULE_MODES
         self.failure_mode_order = tuple(self.failure_mode_order)
         if not self.failure_mode_order:
@@ -377,18 +336,10 @@ class LiveServeReport:
     label: str = "live"
     #: fault-lifecycle log: one entry per applied fault event, in order
     fault_log: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def num_plan_changes(self) -> int:
-        """Number of plan installations during the run.
-
-        Counts end-of-window adaptations (``plan_changed``) and the
-        failure/recovery replans installed at window starts by fault handling
-        separately, so a window with both counts twice.
-        """
-        adaptations = sum(1 for w in self.windows if w.plan_changed)
-        replans = sum(1 for w in self.windows if w.replan_trigger in ("failure", "recovery"))
-        return adaptations + replans
+    #: plans installed during the run: every ``plan_installed`` event the run
+    #: added to the system's event log (adaptations and fault replans alike,
+    #: including replans at boundaries of windows without arrivals)
+    num_plan_changes: int = 0
 
     @property
     def plan_ids(self) -> List[str]:
@@ -418,8 +369,10 @@ class LiveServeReport:
             ``attainment_healthy`` — same over fault-free windows;
             ``post_recovery_attainment`` — mean attainment from the last
             recovery-triggered replan onwards (1.0 when none happened);
-            ``num_failure_replans`` / ``num_recovery_replans`` — windows whose
-            start installed a fault-triggered plan; ``mean_time_to_replan_s``
+            ``num_failure_replans`` / ``num_recovery_replans`` — served
+            windows whose start installed a fault-triggered plan (replans at
+            boundaries of windows without arrivals carry to the next served
+            window; :attr:`num_plan_changes` counts every install); ``mean_time_to_replan_s``
             — mean delay from a capacity-loss event's instant (when the engine
             applies it) to the window boundary that installed the next
             successful replan;
@@ -603,31 +556,6 @@ class LiveServer:
             request_rate=rate,
         )
 
-    def _admit(self, window: Trace, health: PlanHealth) -> Tuple[Trace, int]:
-        """Apply the admission front-end to one window.
-
-        When the estimated utilisation exceeds ``admission_max_rho``, requests
-        are shed with a deterministic deficit counter so the admitted fraction
-        tracks ``admission_max_rho / rho`` exactly (no sampling noise); the
-        window's ``outcome_counts`` record the sheds.  Returns the admitted
-        sub-trace and the number of shed requests.
-        """
-        max_rho = self.config.admission_max_rho
-        if max_rho is None or health.rho <= max_rho or health.rho <= 0:
-            return window, 0
-        keep_fraction = max_rho / health.rho
-        admitted = []
-        shed = 0
-        acc = 0.0
-        for request in window:
-            acc += keep_fraction
-            if acc >= 1.0:
-                acc -= 1.0
-                admitted.append(request)
-            else:
-                shed += 1
-        return Trace(requests=admitted, name=f"{window.name}-admitted"), shed
-
     # ------------------------------------------------------------------ telemetry
     def _measure(
         self,
@@ -636,7 +564,6 @@ class LiveServer:
         end: float,
         result: SimulationResult,
         health: PlanHealth,
-        num_shed: int,
         served_plan_id: str,
     ) -> WindowTelemetry:
         """Build the telemetry record of one window (served or not)."""
@@ -651,8 +578,6 @@ class LiveServer:
                 rows = a.workload == tag
                 hits = int(np.count_nonzero(met & rows))
                 per_tenant[tag.split(":", 1)[1]] = hits / int(np.count_nonzero(rows))
-        outcome_counts = {k: int(v) for k, v in result.outcome_counts().items()}
-        outcome_counts["shed"] = outcome_counts.get("shed", 0) + num_shed
         return WindowTelemetry(
             index=index,
             start=start,
@@ -660,7 +585,6 @@ class LiveServer:
             plan_id=served_plan_id,
             profile="",  # resolved by the caller against the SLO config
             num_requests=result.num_requests,
-            num_shed=num_shed,
             num_finished=result.num_finished,
             request_rate=result.num_requests / (end - start) if end > start else 0.0,
             attainment_e2e=result.slo_attainment(slo, SLOType.E2E),
@@ -671,7 +595,7 @@ class LiveServer:
             estimated_rho=health.rho,
             estimated_attainment=health.attainment,
             per_tenant_attainment=per_tenant,
-            outcome_counts=outcome_counts,
+            outcome_counts={k: int(v) for k, v in result.outcome_counts().items()},
         )
 
     # ------------------------------------------------------------------ faults
@@ -749,17 +673,14 @@ class LiveServer:
         self._system_stale = False
         trigger = ""
         if lost or was_unservable:
-            modes = (
-                config.failure_mode_order if config.reschedule_on_failure else ("none",)
-            )
             reason = (
                 f"fault injection ({'; '.join(descriptions)})"
                 if descriptions
                 else "fault injection (replan retry)"
             )
-            if self._attempt_replan(modes, reason, validate_window=None):
+            if self._attempt_replan(config.failure_mode_order, reason, validate_window=None):
                 trigger = "failure"
-        elif gained and config.reschedule_on_recovery:
+        elif gained and config.failure_mode_order != ("none",):
             validate_window = self._last_window if config.validate_reschedule else None
             reason = f"capacity recovery ({'; '.join(descriptions)})"
             if self._attempt_replan((_RECOVERY_MODE,), reason, validate_window):
@@ -845,21 +766,22 @@ class LiveServer:
         """Run the online rescheduling policy after one window; return whether the plan changed."""
         system = self.system
         config = self.config
+        if not config.reschedule_online:
+            return False
         validate_on = window if config.validate_reschedule else None
-        if events and config.reschedule_on_breach:
+        if events:
             names = ",".join(e.objective for e in events)
             return system.reschedule_online(
                 reason=f"slo breach ({names}) during {label}", validate_on=validate_on
             )
-        if config.reschedule_on_shift:
-            shift = system.profiler.detect_shift()
-            if shift is not None:
-                return system.reschedule_online(
-                    stats=shift.current,
-                    reason=f"lightweight rescheduling ({shift.describe()})",
-                    validate_on=validate_on,
-                )
-        return False
+        shift = system.profiler.detect_shift()
+        if shift is None:
+            return False
+        return system.reschedule_online(
+            stats=shift.current,
+            reason=f"lightweight rescheduling ({shift.describe()})",
+            validate_on=validate_on,
+        )
 
     def run(self, trace: Trace, label: str = "live") -> LiveServeReport:
         """Serve a whole trace adaptively and return the run report.
@@ -875,7 +797,8 @@ class LiveServer:
         -------
         LiveServeReport
             Windowed telemetry, per-window simulation results, the plan each
-            window was served with, and every breach event fired.
+            window was served with, every breach event fired and the number
+            of plans the run installed.
         """
         system = self.system
         config = self.config
@@ -893,6 +816,7 @@ class LiveServer:
         )
         if trace.is_empty:
             return report
+        installs_at_start = _count_installs(system)
         end = trace[-1].arrival_time
         window_start = trace[0].arrival_time
         # Boundary notes and replans of windows without arrivals carry to the
@@ -916,7 +840,6 @@ class LiveServer:
                 # No servable plan: every arrival is dropped, never routed.
                 timeline, in_engine = None, ()
                 health = PlanHealth(rho=0.0, attainment=0.0, request_rate=0.0)
-                admitted, num_shed = window, 0
                 result = SimulationResult(
                     MetricArrays.dropped_outage(window.requests),
                     makespan=window_end,
@@ -926,15 +849,14 @@ class LiveServer:
             else:
                 timeline, in_engine = self._intra_window_faults(w_start, window_end)
                 health = self.plan_health(window)
-                admitted, num_shed = self._admit(window, health)
                 result = system.serve(
-                    admitted,
+                    window,
                     label=f"{label}[{index}]",
                     faults=timeline,
                     retry=config.retry_policy,
                 )
             telemetry = self._measure(
-                index, w_start, window_end, result, health, num_shed,
+                index, w_start, window_end, result, health,
                 "" if unservable else plan_signature(served_plan),
             )
             state = self._fault_state
@@ -958,8 +880,8 @@ class LiveServer:
                 if self.on_breach is not None:
                     self.on_breach(event)
             if not unservable:
-                telemetry.plan_changed = self._adapt(events, admitted, label)
-                self._last_window = admitted
+                telemetry.plan_changed = self._adapt(events, window, label)
+                self._last_window = window
             if self.on_window is not None:
                 self.on_window(telemetry)
             report.windows.append(telemetry)
@@ -969,6 +891,7 @@ class LiveServer:
         # Log the final window's events so the fault log covers the whole run;
         # no traffic is left to serve, so nothing is synced or replanned.
         self._fold_due_events(window_start)
+        report.num_plan_changes = _count_installs(system) - installs_at_start
         return report
 
 

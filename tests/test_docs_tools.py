@@ -1,6 +1,9 @@
-"""Tests for the documentation gate: the link checker and the docstring mirror."""
+"""Tests for the documentation gate: links, docstrings and python snippets."""
 
+import ast
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,46 @@ class TestCheckDocstrings:
         check_docstrings.check_file(bad, problems)
         assert any("capitalised" in p for p in problems)
         assert any("period" in p for p in problems)
+
+
+def _config_classes():
+    """Classes whose keyword arguments the documentation snippets must match."""
+    from repro.scenarios.sweep import ScenarioSweep
+    from repro.scheduling.scheduler import SchedulerConfig
+    from repro.serving.live import LiveServeConfig, LiveServer
+    from repro.serving.system import ThunderServe
+    from repro.simulation.engine import SimulatorConfig
+
+    classes = (
+        LiveServeConfig, LiveServer, ScenarioSweep, SchedulerConfig, SimulatorConfig, ThunderServe,
+    )
+    return {cls.__name__: cls for cls in classes}
+
+
+def _unknown_keywords(markdown: str):
+    """``(class, keyword)`` pairs the markdown's python blocks pass but no signature accepts."""
+    classes = _config_classes()
+    unknown = []
+    for block in re.findall(r"```python\n(.*?)```", markdown, flags=re.DOTALL):
+        for node in ast.walk(ast.parse(block)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in classes:
+                continue
+            params = inspect.signature(classes[name]).parameters
+            if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+                continue
+            unknown += [(name, kw.arg) for kw in node.keywords if kw.arg and kw.arg not in params]
+    return unknown
+
+
+class TestDocSnippets:
+    def test_repo_snippets_pass_only_accepted_keywords(self):
+        for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+            assert _unknown_keywords(path.read_text()) == [], path.name
+
+    def test_stale_keyword_flagged(self):
+        markdown = "```python\nconfig = LiveServeConfig(window_s=10.0, retired_knob=True)\n```\n"
+        assert _unknown_keywords(markdown) == [("LiveServeConfig", "retired_knob")]

@@ -104,8 +104,7 @@ class TestEndToEnd:
         trace = merge_traces([coding, conversation])
         config = LiveServeConfig(
             window_s=15.0,
-            reschedule_on_breach=False,
-            reschedule_on_shift=True,
+            reschedule_online=True,
             validate_reschedule=False,
         )
         results = LiveServer(system, config).run(trace).results

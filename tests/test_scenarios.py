@@ -345,7 +345,7 @@ def test_tenant_attainment_columns_match_object_oracle():
         attained.append(expected)
     assert 0.0 < min(attained) < 1.0, "the oracle must see both hits and misses"
 
-    config = LiveServeConfig(window_s=4.0, reschedule_on_breach=False, reschedule_on_shift=False)
+    config = LiveServeConfig(window_s=4.0, reschedule_online=False)
     report = LiveServer(system, config).run(trace)
     for window, window_result in zip(report.windows, report.results):
         expected = oracle(window_result.metrics, system.slo)
@@ -399,7 +399,7 @@ def test_sweep_serves_faulted_scenarios_through_live_loop(monkeypatch, mode):
         cluster, seed=sweep._derive_seed(spot.name, "failures")
     )
     assert config.failure_mode_order == tuple(dict.fromkeys((mode, "none")))
-    assert not config.reschedule_on_breach and not config.reschedule_on_shift
+    assert not config.reschedule_online
     assert config.window_s == 4.0 and config.retry_policy is retry
     assert live_config.faults is None, "the caller's config is not mutated"
 
@@ -476,8 +476,7 @@ def _live_fault_run(trace, schedule, window_s):
     config = LiveServeConfig(
         window_s=window_s,
         faults=schedule,
-        reschedule_on_breach=False,
-        reschedule_on_shift=False,
+        reschedule_online=False,
     )
     return LiveServer(system, config).run(trace, label="faulted")
 
