@@ -43,9 +43,8 @@ from repro.hardware.cluster import make_two_datacenter_cluster
 from repro.model.architecture import get_model_config
 from repro.faults.taxonomy import FaultEvent, FaultKind, FaultSchedule
 from repro.hardware.cluster import Cluster
-from repro.scenarios.base import Scenario
+from repro.scenarios.base import Scenario, scenario_slo
 from repro.scenarios.sweep import ScenarioSweep
-from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeReport

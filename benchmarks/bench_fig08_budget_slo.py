@@ -20,7 +20,7 @@ def test_fig08_budget_slo(benchmark):
     # conversation workload, where the cloud GPUs' aggregate memory bandwidth per
     # dollar dominates.  The prefill-bound coding workload does not reproduce the
     # paper's win under Table-1 list prices (the A100 server has essentially the
-    # same aggregate FLOPS as the 32 rented GPUs) — EXPERIMENTS.md records the
+    # same aggregate FLOPS as the 32 rented GPUs) — docs/benchmarks.md records the
     # measured gap; here we only require that every system produced a full curve.
     for point, deadlines in result.extras["min_deadline_90"].items():
         if point.startswith("conversation"):

@@ -18,6 +18,6 @@ def test_fig09_throughput(benchmark):
         # ThunderServe should outperform the heterogeneous co-locating baseline on
         # the decode-heavy conversation workload (paper: 1.3x).  Coding is so
         # prefill-skewed that a static phase split gives up some raw capacity on
-        # our substrate (see EXPERIMENTS.md), so we only require rough parity.
+        # our substrate (see docs/benchmarks.md), so we only require rough parity.
         margin = 0.8 if workload == "coding" else 1.0
         assert ts >= hexgen * margin, workload

@@ -17,7 +17,7 @@ def test_table5_network_case(benchmark):
     # ThunderServe matches or beats the non-disaggregated baseline in both
     # regimes, and the fast-network case benefits at least as much as the
     # slow-network case (paper: 2.0x vs 1.4x; our roofline substrate reproduces
-    # the ordering with smaller factors — see EXPERIMENTS.md).
+    # the ordering with smaller factors — see docs/benchmarks.md).
     assert high >= 1.0
     assert low >= 0.85
     assert high >= low - 0.1

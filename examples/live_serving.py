@@ -20,8 +20,7 @@ import os
 
 from repro.hardware.cluster import make_cloud_cluster
 from repro.model.architecture import get_model_config
-from repro.scenarios.registry import get_scenario
-from repro.scheduling.robust import scenario_slo
+from repro.scenarios import get_scenario, scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeConfig, LiveServer

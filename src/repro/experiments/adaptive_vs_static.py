@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult, default_model
 from repro.hardware.cluster import make_cloud_cluster, make_two_datacenter_cluster
-from repro.scenarios.registry import get_scenario
-from repro.scheduling.robust import scenario_slo
+from repro.scenarios import get_scenario, scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.scheduling.tabu import TabuSearchConfig
 from repro.serving.live import LiveServeConfig, LiveServeReport, LiveServer

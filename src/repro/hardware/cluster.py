@@ -35,9 +35,9 @@ class Cluster:
     GPU ids are global and stable: removing GPUs (e.g. to model a node failure)
     produces a new :class:`Cluster` that keeps the original ids and network
     matrices but exposes a smaller ``gpus`` list.  The full roster of GPUs the
-    cluster has ever known is retained in ``all_gpus`` so that removed GPUs can
-    later be revived by id (:meth:`with_gpus` — capacity recovery after a spot
-    preemption ends or a crashed node rejoins).
+    cluster has ever known is retained in ``all_gpus`` so that fault schedules
+    can still address removed GPUs by id (a spot preemption ending, a crashed
+    node rejoining).
     """
 
     nodes: List[Node]
@@ -141,34 +141,6 @@ class Cluster:
             gpus=remaining,
             network=self.network,
             name=name or f"{self.name}-minus-{len(removed)}gpus",
-            all_gpus=self.all_gpus,
-        )
-
-    def with_gpus(self, gpu_ids: Iterable[int], name: Optional[str] = None) -> "Cluster":
-        """Return a new cluster with previously removed ``gpu_ids`` revived.
-
-        The inverse of :meth:`without_gpus`: GPUs are restored from the roster
-        by their global id (capacity recovery — a spot preemption ending, a
-        crashed node rejoining).  Ids must exist in the roster (``KeyError``
-        otherwise) and must currently be removed (:class:`ConfigurationError`
-        when asked to revive an already-alive GPU).
-        """
-        revived = set(gpu_ids)
-        unknown = revived - set(self._roster_by_id)
-        if unknown:
-            raise KeyError(f"cannot revive GPU ids {sorted(unknown)}: not in the cluster roster")
-        already = revived & set(self._gpu_by_id)
-        if already:
-            raise ConfigurationError(
-                f"cannot revive GPU ids {sorted(already)}: already available"
-            )
-        alive = set(self._gpu_by_id) | revived
-        restored = [g for g in self.all_gpus if g.gpu_id in alive]
-        return Cluster(
-            nodes=self.nodes,
-            gpus=restored,
-            network=self.network,
-            name=name or f"{self.name}-plus-{len(revived)}gpus",
             all_gpus=self.all_gpus,
         )
 

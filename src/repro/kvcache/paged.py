@@ -106,27 +106,6 @@ class PagedKVCache:
         self._used_blocks += blocks
         return blocks
 
-    def append_token(self, seq_id: int) -> bool:
-        """Extend a sequence by one generated token.
-
-        Returns ``True`` if a new block had to be allocated.  Raises
-        :class:`BlockAllocationError` when the cache is full and a new block is
-        required, or when the sequence is unknown.
-        """
-        state = self._sequences.get(seq_id)
-        if state is None:
-            raise BlockAllocationError(f"unknown sequence {seq_id}")
-        state.num_tokens += 1
-        needed = self.blocks_needed(state.num_tokens)
-        if needed > state.num_blocks:
-            if self.free_blocks < 1:
-                state.num_tokens -= 1
-                raise BlockAllocationError("KV cache exhausted while appending a token")
-            state.num_blocks += 1
-            self._used_blocks += 1
-            return True
-        return False
-
     def free(self, seq_id: int) -> int:
         """Release a finished sequence and return the number of freed blocks."""
         state = self._sequences.pop(seq_id, None)

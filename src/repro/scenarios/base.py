@@ -20,9 +20,12 @@ import abc
 from typing import Callable, ClassVar, List, Optional
 
 from repro.core.rng import RNGLike, ensure_rng
-from repro.core.types import Request
+from repro.core.types import Request, SLOSpec
+from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
+from repro.costmodel.reference import a100_reference_latency
 from repro.faults.taxonomy import FaultSchedule
 from repro.hardware.cluster import Cluster
+from repro.model.architecture import ModelConfig
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import Trace
 
@@ -79,6 +82,22 @@ class Scenario(abc.ABC):
         )
 
 
+def scenario_slo(
+    scenario: Scenario, model: ModelConfig, params: CostModelParams = DEFAULT_PARAMS
+) -> SLOSpec:
+    """The SLO tier a scenario holds a deployment to.
+
+    Deadlines are the scenario's own :meth:`Scenario.slo_scale` multiple of the
+    A100 reference latency of its planning workload.  The
+    :class:`~repro.scenarios.sweep.ScenarioSweep` serves against this tier, so
+    every caller that plans or measures a scenario uses the same deadlines.
+    """
+    workload = scenario.planning_workload()
+    return a100_reference_latency(model, workload, params=params).slo_spec(
+        scenario.slo_scale()
+    )
+
+
 def thinned_poisson_trace(
     spec: WorkloadSpec,
     rate_fn: Callable[[float], float],
@@ -132,4 +151,4 @@ def thinned_poisson_trace(
     return Trace(requests=requests, name=name or spec.name)
 
 
-__all__ = ["Scenario", "thinned_poisson_trace"]
+__all__ = ["Scenario", "scenario_slo", "thinned_poisson_trace"]

@@ -31,11 +31,10 @@ from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
-from repro.scenarios.base import Scenario
+from repro.scenarios.base import Scenario, scenario_slo
 from repro.scenarios.library import MultiTenantSLOTiersScenario
 from repro.scenarios.registry import default_scenarios
 from repro.scheduling.deployment import DeploymentPlan
-from repro.scheduling.robust import scenario_slo
 from repro.scheduling.scheduler import SchedulerConfig
 from repro.serving.live import LiveServeConfig, LiveServer, WindowTelemetry
 from repro.serving.system import ThunderServe
@@ -100,11 +99,12 @@ class ScenarioSweep:
         ``"raise"`` (default) propagates a scenario's serving failure and aborts
         the sweep; ``"zero"`` records a :class:`SchedulingError` as a
         zero-attainment :class:`ScenarioOutcome` (``error`` carries the
-        message) and keeps the other scenarios.  Robust-mode comparisons use
-        ``"zero"``: a plan that cannot survive a scenario — e.g. rescheduling
-        is infeasible after a preemption — has operationally failed it, which
-        is signal, not an abort-worthy exception.  Non-scheduling exceptions
-        (worker crashes, pickling problems) propagate under both policies.
+        message) and keeps the other scenarios.  Use ``"zero"`` to compare a
+        plan across scenarios: a plan that cannot survive a scenario — e.g.
+        rescheduling is infeasible after a preemption — has operationally
+        failed it, which is signal, not an abort-worthy exception.
+        Non-scheduling exceptions (worker crashes, pickling problems)
+        propagate under both policies.
     adaptive:
         When ``True``, every scenario is served through the live adaptive
         loop (:class:`~repro.serving.live.LiveServer`) instead of one batch
@@ -222,9 +222,7 @@ class ScenarioSweep:
     ) -> ThunderServe:
         workload = scenario.planning_workload()
         # The scenario's own SLO tier must govern any mid-run rescheduling, not
-        # ThunderServe's default 5x reference scale.  The derivation is shared
-        # with robust scheduling so the optimised objective and the served
-        # attainment measure the same contract.
+        # ThunderServe's default 5x reference scale.
         slo = scenario_slo(scenario, model, params=self.params)
         return ThunderServe(
             cluster,
@@ -318,9 +316,8 @@ class ScenarioSweep:
     def summarize(outcomes: Dict[str, ScenarioOutcome]) -> Dict[str, object]:
         """Cross-scenario aggregate of a sweep.
 
-        This is the served-side counterpart of the robust objective — the
-        ``robust_vs_static`` experiment reports both so the estimator-optimised
-        worst case can be checked against the simulated one.
+        The worst and mean attainment are what the scheduler's estimate of a
+        plan should be checked against: served numbers, per scenario.
 
         Returns
         -------

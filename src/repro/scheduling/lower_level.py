@@ -84,16 +84,6 @@ class LowerLevelSolver:
         :class:`ReplicaPlan`; when provided those plans are reused instead of
         re-deduced.  The lightweight rescheduler uses this to keep parallel
         configurations unchanged.
-    plan_cache:
-        Optional externally shared memo for parallel-plan deduction.  Keys
-        include the model name and the workload's rounded mean input/output
-        lengths (the only workload facts :func:`deduce_parallel_plan`
-        consumes), so robust scheduling can hand one cache to every
-        per-scenario solver: scenarios with the same planning shape (e.g. the
-        conversation-workload trio) share deductions, while differently-shaped
-        scenarios get their own entries.  The cache must only be shared among
-        solvers over the same cluster and cost params — the key does not carry
-        those (robust scheduling holds them constant by construction).
     prefill_batch_requests:
         Prefill batching assumed by the attainment estimator (defaults to the
         serving engine's ``max_prefill_batch_requests`` default, so estimates
@@ -113,7 +103,6 @@ class LowerLevelSolver:
         orchestration_mode: str = "lp",
         fixed_plans: Optional[Dict[Tuple[int, ...], ReplicaPlan]] = None,
         seed: int = 0,
-        plan_cache: Optional[Dict[object, Optional[ReplicaPlan]]] = None,
         prefill_batch_requests: int = DEFAULT_MAX_PREFILL_BATCH_REQUESTS,
     ) -> None:
         if orchestration_mode not in ("lp", "uniform", "random"):
@@ -139,19 +128,7 @@ class LowerLevelSolver:
             params=params,
             prefill_batch_requests=prefill_batch_requests,
         )
-        self._plan_cache: Dict[object, Optional[ReplicaPlan]] = (
-            plan_cache if plan_cache is not None else {}
-        )
-        # The deduced plan depends on the workload only through these rounded
-        # mean lengths (see enumerate_parallel_plans); salting the cache key
-        # with them — plus the model name — keeps a shared cache correct across
-        # per-scenario solvers.  Cluster and cost params are deliberately not
-        # in the key: sharers must hold them constant (schedule_robust does).
-        self._plan_key_salt = (
-            model.name,
-            max(1, int(round(workload.mean_input_length))),
-            max(1, int(round(workload.mean_output_length))),
-        )
+        self._plan_cache: Dict[Tuple[Tuple[int, ...], Phase], Optional[ReplicaPlan]] = {}
         self._objective_cache: Dict[object, float] = {}
         self.num_evaluations = 0
 
@@ -162,7 +139,7 @@ class LowerLevelSolver:
         fixed = self.fixed_plans.get(gpu_key)
         if fixed is not None:
             return fixed
-        key = (gpu_key, phase, self._plan_key_salt)
+        key = (gpu_key, phase)
         if key in self._plan_cache:
             return self._plan_cache[key]
         try:

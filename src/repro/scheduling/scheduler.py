@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.exceptions import SchedulingError
 from repro.core.rng import RNGLike, ensure_rng
@@ -20,23 +20,13 @@ from repro.costmodel.latency import CostModelParams, DEFAULT_PARAMS
 from repro.costmodel.reference import a100_reference_latency
 from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
-from repro.parallelism.config import ReplicaPlan
 from repro.scheduling.clustering import initial_groups_by_clustering
 from repro.scheduling.lower_level import LowerLevelResult, LowerLevelSolver
 from repro.scheduling.neighbors import construct_neighbors
-from repro.scheduling.robust import (
-    RobustEvaluator,
-    RobustObjective,
-    RobustScheduleResult,
-    scenario_slo,
-)
 from repro.scheduling.solution import UpperLevelSolution
-from repro.scheduling.tabu import SearchTrace, TabuSearch, TabuSearchConfig, TabuSearchResult
+from repro.scheduling.tabu import SearchTrace, TabuSearch, TabuSearchConfig
 from repro.scheduling.deployment import DeploymentPlan
 from repro.workload.spec import WorkloadSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
-    from repro.scenarios.base import Scenario
 
 
 @dataclass(frozen=True)
@@ -91,44 +81,35 @@ class Scheduler:
         """Convenience: SLO deadlines at a given scale of the A100 reference latency."""
         return a100_reference_latency(model, workload, params=self.config.cost_params).slo_spec(scale)
 
-    def build_solver(
+    # ------------------------------------------------------------------ schedule
+    def schedule(
         self,
         cluster: Cluster,
         model: ModelConfig,
         workload: WorkloadSpec,
         request_rate: float,
-        slo: SLOSpec,
-        plan_cache: Optional[Dict[object, Optional[ReplicaPlan]]] = None,
-    ) -> LowerLevelSolver:
-        """Construct the lower-level solver for a serving context.
+        slo: Optional[SLOSpec] = None,
+        seed: RNGLike = None,
+    ) -> ScheduleResult:
+        """Run the full two-level scheduling algorithm and return the best plan."""
+        start = time.perf_counter()
+        cfg = self.config
+        rng = ensure_rng(cfg.seed if seed is None else seed)
+        slo = slo or self.default_slo(model, workload)
 
-        ``plan_cache`` optionally shares one parallel-plan deduction memo across
-        several solvers over the **same cluster and cost params** (robust mode
-        builds one solver per scenario, holding both constant).  Entries are
-        keyed by the model and the workload's planning shape, so same-shape
-        scenarios share deductions and differing ones cannot collide.
-        """
-        return LowerLevelSolver(
+        solver = LowerLevelSolver(
             cluster=cluster,
             model=model,
             workload=workload,
             slo=slo,
             request_rate=request_rate,
-            kv_transport_bits=self.config.kv_transport_bits,
-            params=self.config.cost_params,
-            slo_type=self.config.slo_type,
-            orchestration_mode=self.config.orchestration_mode,
-            seed=self.config.seed,
-            plan_cache=plan_cache,
+            kv_transport_bits=cfg.kv_transport_bits,
+            params=cfg.cost_params,
+            slo_type=cfg.slo_type,
+            orchestration_mode=cfg.orchestration_mode,
+            seed=cfg.seed,
         )
-
-    # ------------------------------------------------------------------ search core
-    def _initial_solution(
-        self, cluster: Cluster, model: ModelConfig, rng
-    ) -> UpperLevelSolution:
-        """Hierarchical-clustering initial solution (shared by both schedule modes)."""
-        cfg = self.config
-        return initial_groups_by_clustering(
+        initial = initial_groups_by_clustering(
             cluster,
             model,
             target_num_groups=cfg.initial_num_groups,
@@ -136,29 +117,6 @@ class Scheduler:
             kv_reserve_fraction=cfg.cost_params.kv_reserve_fraction
             if cfg.cost_params.kv_reserve_fraction > 0
             else 0.3,
-        )
-
-    def _run_search(
-        self,
-        cluster: Cluster,
-        model: ModelConfig,
-        rng,
-        objective: Optional[Callable[[UpperLevelSolution], float]],
-        batch_objective: Callable[[Sequence[UpperLevelSolution]], Sequence[float]],
-        initial_solution: Optional[UpperLevelSolution] = None,
-    ) -> TabuSearchResult[UpperLevelSolution]:
-        """Run the upper-level tabu search over a given objective.
-
-        Both :meth:`schedule` and :meth:`schedule_robust` go through this one
-        path, so an identical seed drives an identical search trajectory — only
-        the objective differs.  That is what makes a one-scenario robust run
-        reproduce the single-workload plan exactly.
-        """
-        cfg = self.config
-        initial = (
-            initial_solution
-            if initial_solution is not None
-            else self._initial_solution(cluster, model, rng)
         )
 
         def neighbor_fn(solution: UpperLevelSolution, count: int, tabu_keys=()):
@@ -173,40 +131,14 @@ class Scheduler:
             )
 
         search = TabuSearch(
-            objective=objective,
+            objective=solver.evaluate,
             neighbor_fn=neighbor_fn,
             key_fn=lambda s: s.key(),
             config=cfg.tabu,
-            batch_objective=batch_objective,
+            batch_objective=solver.evaluate_batch,
             pass_tabu_keys=True,
         )
-        return search.run(initial)
-
-    # ------------------------------------------------------------------ schedule
-    def schedule(
-        self,
-        cluster: Cluster,
-        model: ModelConfig,
-        workload: WorkloadSpec,
-        request_rate: float,
-        slo: Optional[SLOSpec] = None,
-        seed: RNGLike = None,
-        initial_solution: Optional[UpperLevelSolution] = None,
-    ) -> ScheduleResult:
-        """Run the full two-level scheduling algorithm and return the best plan.
-
-        ``initial_solution`` optionally warm-starts the tabu search from a known
-        solution instead of the clustering initialiser.
-        """
-        start = time.perf_counter()
-        cfg = self.config
-        rng = ensure_rng(cfg.seed if seed is None else seed)
-        slo = slo or self.default_slo(model, workload)
-
-        solver = self.build_solver(cluster, model, workload, request_rate, slo)
-        result = self._run_search(
-            cluster, model, rng, solver.evaluate, solver.evaluate_batch, initial_solution
-        )
+        result = search.run(initial)
         lower = solver.solve(result.best_solution)
         if not lower.feasible or lower.plan is None:
             raise SchedulingError(
@@ -223,83 +155,5 @@ class Scheduler:
             solution=result.best_solution,
         )
 
-    # ------------------------------------------------------------------ robust
-    def schedule_robust(
-        self,
-        cluster: Cluster,
-        model: ModelConfig,
-        scenarios: Sequence["Scenario"],
-        robust: Optional[RobustObjective] = None,
-        seed: RNGLike = None,
-        initial_solution: Optional[UpperLevelSolution] = None,
-    ) -> RobustScheduleResult:
-        """Optimise one deployment plan against a whole scenario set.
 
-        Each scenario contributes a lower-level solver built from its planning
-        workload, request rate and SLO tier (the same derivation the scenario
-        sweep serves against); the tabu search maximises ``robust``'s aggregate
-        of the per-scenario objectives (worst case by default).  The returned
-        plan is the winning solution solved under its binding (worst) scenario.
-
-        ``initial_solution`` warm-starts the search — passing the single-workload
-        plan's solution guarantees the robust plan scores at least as well as it
-        on the robust objective, since the initial solution is always evaluated.
-        """
-        start = time.perf_counter()
-        cfg = self.config
-        scenario_list = list(scenarios)
-        robust = robust or RobustObjective.worst_case()
-        rng = ensure_rng(cfg.seed if seed is None else seed)
-
-        plan_cache: Dict[object, Optional[ReplicaPlan]] = {}
-        solvers: List[Tuple[str, LowerLevelSolver]] = [
-            (
-                scenario.name,
-                self.build_solver(
-                    cluster,
-                    model,
-                    scenario.planning_workload(),
-                    scenario.request_rate,
-                    scenario_slo(scenario, model, cfg.cost_params),
-                    plan_cache=plan_cache,
-                ),
-            )
-            for scenario in scenario_list
-        ]
-        # The evaluator owns validation: non-empty scenario set, unique names,
-        # weight count vs. scenario count.
-        evaluator = RobustEvaluator(solvers, robust)
-        result = self._run_search(
-            cluster, model, rng, None, evaluator.evaluate_batch, initial_solution
-        )
-
-        per_scenario = {name: solver.solve(result.best_solution) for name, solver in solvers}
-        # A scenario can be individually infeasible (e.g. its long-context shape
-        # leaves no KV headroom on this cluster) without invalidating the plan —
-        # mix/cvar objectives may legitimately trade such a scenario away, and
-        # its lower-level result records feasible=False / attainment 0.  Only a
-        # solution feasible under no scenario at all is an error.
-        feasible = {
-            name: r for name, r in per_scenario.items() if r.feasible and r.plan is not None
-        }
-        if not feasible:
-            raise SchedulingError(
-                "the robust tabu search found no plan feasible under any scenario; "
-                "the cluster may be too small to hold the model"
-            )
-        worst = min(feasible, key=lambda name: feasible[name].estimated_attainment)
-        plan = feasible[worst].plan
-        assert plan is not None  # guarded by the feasibility filter above
-        return RobustScheduleResult(
-            plan=plan,
-            objective=result.best_objective,
-            trace=result.trace,
-            solution=result.best_solution,
-            robust=robust,
-            per_scenario=per_scenario,
-            worst_scenario=worst,
-            elapsed_s=time.perf_counter() - start,
-        )
-
-
-__all__ = ["Scheduler", "SchedulerConfig", "ScheduleResult", "RobustScheduleResult"]
+__all__ = ["Scheduler", "SchedulerConfig", "ScheduleResult"]

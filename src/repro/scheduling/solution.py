@@ -98,9 +98,8 @@ class UpperLevelSolution:
     def key(self) -> Tuple:
         """Hashable canonical key used by the tabu list.
 
-        Cached on first use: the key is consulted by neighbourhood dedup, the
-        tabu list and every per-scenario objective memo, so robust scheduling
-        asks for it many times per candidate.
+        Cached on first use: neighbourhood dedup, the tabu list and the
+        lower-level objective memo each ask for it, several times per candidate.
         """
         cached = getattr(self, "_key", None)
         if cached is None:

@@ -72,9 +72,6 @@ class TabuSearch(Generic[S]):
     ----------
     objective:
         Callable returning the scalar objective to *maximise* for a solution.
-        May be ``None`` when ``batch_objective`` is provided — single solutions
-        (the initial one included) are then scored through a batch of one, so
-        evaluators only need to implement one scoring path.
     neighbor_fn:
         Callable producing a list of candidate neighbours for a solution.  With
         ``pass_tabu_keys=True`` it must accept a third argument — the current
@@ -99,15 +96,13 @@ class TabuSearch(Generic[S]):
 
     def __init__(
         self,
-        objective: Optional[Callable[[S], float]],
+        objective: Callable[[S], float],
         neighbor_fn: Callable[[S, int], Sequence[S]],
         key_fn: Optional[Callable[[S], Hashable]] = None,
         config: TabuSearchConfig = TabuSearchConfig(),
         batch_objective: Optional[Callable[[Sequence[S]], Sequence[float]]] = None,
         pass_tabu_keys: bool = False,
     ) -> None:
-        if objective is None and batch_objective is None:
-            raise ValueError("either objective or batch_objective is required")
         self.objective = objective
         self.neighbor_fn = neighbor_fn
         self.key_fn = key_fn or (lambda s: s)  # type: ignore[assignment]
@@ -125,7 +120,6 @@ class TabuSearch(Generic[S]):
                     f"for {len(candidates)} candidates"
                 )
             return [float(s) for s in scores]
-        assert self.objective is not None  # enforced in __init__
         return [self.objective(c) for c in candidates]
 
     def run(self, initial_solution: S) -> TabuSearchResult[S]:
@@ -135,11 +129,7 @@ class TabuSearch(Generic[S]):
         trace = SearchTrace()
 
         current = initial_solution
-        current_obj = (
-            self.objective(current)
-            if self.objective is not None
-            else self._score([current])[0]
-        )
+        current_obj = self.objective(current)
         trace.num_evaluations += 1
         best, best_obj = current, current_obj
         # The ordered list is the bounded memory; the set gives O(1) membership

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.core.exceptions import SchedulingError
 from repro.core.types import SLOSpec
@@ -28,16 +28,12 @@ from repro.hardware.cluster import Cluster
 from repro.model.architecture import ModelConfig
 from repro.scheduling.deployment import DeploymentPlan
 from repro.scheduling.rescheduling import LightweightRescheduler
-from repro.scheduling.robust import RobustObjective, RobustScheduleResult
 from repro.scheduling.scheduler import ScheduleResult, Scheduler, SchedulerConfig
 from repro.simulation.engine import ServingSimulator, SimulatorConfig
 from repro.simulation.metrics import SimulationResult
 from repro.workload.profiler import WorkloadProfiler
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
-    from repro.scenarios.base import Scenario
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,6 @@ class ThunderServe:
         self.profiler = WorkloadProfiler()
         self.plan: Optional[DeploymentPlan] = None
         self.schedule_result: Optional[ScheduleResult] = None
-        self.robust_result: Optional[RobustScheduleResult] = None
         self.events: List[ServeEvent] = []
         #: simulator reused across serve() calls; rebuilt when the plan changes
         self._simulator: Optional[ServingSimulator] = None
@@ -108,36 +103,7 @@ class ThunderServe:
             self.cluster, self.model, self.workload, self.request_rate, self.slo, seed=seed
         )
         self.schedule_result = result
-        self.robust_result = None  # a single-workload deployment supersedes it
         self._install_plan(result.plan, reason="initial deployment")
-        self.profiler.set_reference_from_spec(self.workload, self.request_rate)
-        return result.plan
-
-    def deploy_robust(
-        self,
-        scenarios: Sequence["Scenario"],
-        robust: Optional[RobustObjective] = None,
-        seed: Optional[int] = None,
-    ) -> DeploymentPlan:
-        """Schedule against a scenario set and install the winning robust plan.
-
-        Runs :meth:`Scheduler.schedule_robust` (worst-case aggregate unless
-        ``robust`` says otherwise) and adopts the plan tuned for the binding
-        scenario; the full per-scenario breakdown stays available as
-        ``self.robust_result``.
-        """
-        result = self.scheduler.schedule_robust(
-            self.cluster, self.model, scenarios, robust=robust, seed=seed
-        )
-        self.robust_result = result
-        self.schedule_result = None  # a robust deployment supersedes it
-        self._install_plan(
-            result.plan,
-            reason=(
-                f"robust deployment over {len(result.per_scenario)} scenarios "
-                f"(binding scenario: {result.worst_scenario})"
-            ),
-        )
         self.profiler.set_reference_from_spec(self.workload, self.request_rate)
         return result.plan
 

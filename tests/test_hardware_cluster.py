@@ -112,34 +112,6 @@ class TestClusterMutation:
         with pytest.raises(ConfigurationError):
             small_hetero_cluster.without_gpus(small_hetero_cluster.gpu_ids)
 
-    def test_with_gpus_restores_removed_capacity(self, cloud_cluster):
-        removed = cloud_cluster.gpu_ids[:4]
-        smaller = cloud_cluster.without_gpus(removed)
-        restored = smaller.with_gpus(removed)
-        assert restored.num_gpus == cloud_cluster.num_gpus
-        assert restored.gpu_ids == cloud_cluster.gpu_ids
-        # Revived GPUs come back from the roster with their original identity.
-        for gpu_id in removed:
-            assert restored.gpu(gpu_id).type_name == cloud_cluster.gpu(gpu_id).type_name
-            assert restored.gpu(gpu_id).node_id == cloud_cluster.gpu(gpu_id).node_id
-
-    def test_with_gpus_partial_rejoin(self, cloud_cluster):
-        removed = cloud_cluster.gpu_ids[:4]
-        smaller = cloud_cluster.without_gpus(removed)
-        partial = smaller.with_gpus(removed[:2])
-        assert partial.num_gpus == cloud_cluster.num_gpus - 2
-        assert set(removed[:2]) <= set(partial.gpu_ids)
-        assert set(removed[2:]) & set(partial.gpu_ids) == set()
-
-    def test_with_gpus_unknown_id_raises(self, cloud_cluster):
-        smaller = cloud_cluster.without_gpus(cloud_cluster.gpu_ids[:2])
-        with pytest.raises(KeyError):
-            smaller.with_gpus([1234])
-
-    def test_with_gpus_already_alive_raises(self, cloud_cluster):
-        with pytest.raises(ConfigurationError):
-            cloud_cluster.with_gpus(cloud_cluster.gpu_ids[:1])
-
     def test_restricted_to(self, cloud_cluster):
         subset = cloud_cluster.gpu_ids[:16]
         restricted = cloud_cluster.restricted_to(subset)

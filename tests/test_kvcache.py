@@ -41,20 +41,6 @@ class TestPagedKVCache:
         with pytest.raises(BlockAllocationError):
             cache.allocate(1, 64)
 
-    def test_append_token_allocates_new_block_on_boundary(self):
-        cache = PagedKVCache(num_blocks=10, block_size=4)
-        cache.allocate(1, 4)
-        assert cache.append_token(1) is True   # 5 tokens -> 2 blocks
-        assert cache.append_token(1) is False  # 6 tokens, still 2 blocks
-        assert cache.used_blocks == 2
-
-    def test_append_token_when_full_raises_and_rolls_back(self):
-        cache = PagedKVCache(num_blocks=1, block_size=4)
-        cache.allocate(1, 4)
-        with pytest.raises(BlockAllocationError):
-            cache.append_token(1)
-        assert cache.tokens_of(1) == 4
-
     def test_free_unknown_sequence_raises(self):
         cache = PagedKVCache(num_blocks=2)
         with pytest.raises(BlockAllocationError):

@@ -109,7 +109,7 @@ def test_orchestration_objective_never_below_uniform(m, n, seed):
 # --------------------------------------------------------------------------- paged KV cache
 @given(
     ops=st.lists(
-        st.tuples(st.sampled_from(["alloc", "free", "append"]), st.integers(0, 5), st.integers(1, 200)),
+        st.tuples(st.sampled_from(["alloc", "free"]), st.integers(0, 5), st.integers(1, 200)),
         min_size=1,
         max_size=60,
     ),
@@ -129,8 +129,6 @@ def test_paged_cache_accounting_invariants(ops, num_blocks, block_size):
             elif op == "free" and seq_id in live:
                 cache.free(seq_id)
                 live.discard(seq_id)
-            elif op == "append" and seq_id in live:
-                cache.append_token(seq_id)
         except BlockAllocationError:
             pass
         assert 0 <= cache.used_blocks <= cache.num_blocks

@@ -184,9 +184,9 @@ class TestSLOEstimator:
         cluster, model, workload, estimator = estimator_setup
         prefill = estimator.replica_performance(_group(cluster, model, workload, "A40", Phase.PREFILL, 0))
         decode = estimator.replica_performance(_group(cluster, model, workload, "3090Ti", Phase.DECODE, 1))
-        low = estimator.pair_estimate(prefill, decode, prefill_utilization=0.1)
-        high = estimator.pair_estimate(prefill, decode, prefill_utilization=0.9)
-        assert high.ttft > low.ttft
+        low = estimator.attainment_matrix([prefill], [decode], prefill_utilizations=[0.1])
+        high = estimator.attainment_matrix([prefill], [decode], prefill_utilizations=[0.9])
+        assert high[0, 0] < low[0, 0]
 
     def test_decode_operating_batch_monotone_in_rate(self, estimator_setup):
         cluster, model, workload, estimator = estimator_setup

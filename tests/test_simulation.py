@@ -244,7 +244,7 @@ class TestSimulationResult:
     def test_attainment_curve_monotone(self, small_hetero_cluster, small_plan, model_30b, small_trace, conversation_workload):
         result = ServingSimulator(small_hetero_cluster, small_plan, model_30b).run(small_trace)
         reference = a100_reference_latency(model_30b, conversation_workload)
-        curve = result.attainment_curve([1, 2, 4, 8, 16, 64], reference)
+        curve = [result.slo_attainment(reference.slo_spec(s)) for s in (1, 2, 4, 8, 16, 64)]
         assert all(b >= a for a, b in zip(curve, curve[1:]))
 
     def test_min_scale_for_attainment(self, small_hetero_cluster, small_plan, model_30b, small_trace, conversation_workload):
