@@ -10,7 +10,7 @@ retained per-event reference engine by >= 4x wall-clock while producing
 The default ("full") configuration replays >= 2k requests with >= 512 prompt
 tokens each; set ``REPRO_BENCH_REDUCED=1`` for the CI smoke configuration (same
 shape, ~10x smaller).  Results — speedup plus agreement stats — are written to
-``BENCH_prefill.json`` (override the path with ``REPRO_BENCH_PREFILL_JSON``) so
+``BENCH_prefill.json`` (override the path with ``REPRO_BENCH_JSON``) so
 the perf trajectory is tracked across PRs alongside ``BENCH_simcore.json``.
 The speedup is the ratio of the fastest of ``TIMING_RUNS`` runs per engine,
 the engines alternating (min-of-k wall clock).
@@ -170,7 +170,7 @@ def test_prefill_core_speedup():
         "num_finished_fast": fast.num_finished,
         "num_finished_reference": reference.num_finished,
     }
-    out_path = os.environ.get("REPRO_BENCH_PREFILL_JSON", "BENCH_prefill.json")
+    out_path = os.environ.get("REPRO_BENCH_JSON", "BENCH_prefill.json")
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

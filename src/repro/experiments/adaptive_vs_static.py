@@ -1,7 +1,7 @@
 """Adaptive live serving vs. a static plan on shifting workloads.
 
 The live loop (:class:`~repro.serving.live.LiveServer`) replays a trace in
-bounded windows, evaluates declarative SLO objectives per window and triggers
+bounded windows, judges each under the two-tier SLO policy and triggers
 the §3.4 lightweight rescheduler on a breach or a detected workload shift.
 This harness measures what that adaptivity buys on the two workload-shift
 scenarios of the library — ``diurnal`` (a day/night rate cycle) and

@@ -206,10 +206,6 @@ class FaultSchedule:
                 )
         return self
 
-    def events_between(self, start: float, end: float) -> List[FaultEvent]:
-        """Events with ``start <= time < end``, in schedule order."""
-        return [e for e in self.events if start <= e.time < end]
-
     def shifted(self, offset: float) -> "FaultSchedule":
         """Return a copy with every event time shifted by ``offset`` seconds."""
         return FaultSchedule(

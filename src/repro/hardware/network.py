@@ -238,10 +238,6 @@ class NetworkModel:
         """Return a copy of the full bandwidth matrix (GB/s) — the Figure 13 data."""
         return self._bandwidth_gbps.copy()
 
-    def latency_matrix_s(self) -> np.ndarray:
-        """Return a copy of the full latency matrix (seconds)."""
-        return self._latency_s.copy()
-
     # ------------------------------------------------------- set-level aggregates
     def min_bandwidth_within(self, gpu_ids: Iterable[int]) -> float:
         """Minimum pairwise bandwidth (GB/s) among a set of GPUs.

@@ -72,11 +72,6 @@ class PagedKVCache:
             return 0.0
         return self._used_blocks / self.num_blocks
 
-    def tokens_of(self, seq_id: int) -> int:
-        """Number of cached tokens for a sequence (0 if unknown)."""
-        state = self._sequences.get(seq_id)
-        return state.num_tokens if state else 0
-
     def blocks_needed(self, num_tokens: int) -> int:
         """Blocks required to store ``num_tokens`` tokens."""
         if num_tokens < 0:

@@ -116,7 +116,7 @@ class ScenarioSweep:
         breaches, outages).
     live_config:
         :class:`~repro.serving.live.LiveServeConfig` for live serving (window
-        length, SLO-objective config, retry policy); defaults to
+        length, validation, retry policy); defaults to
         ``LiveServeConfig()``.  The sweep overrides ``faults`` and
         ``failure_mode_order`` per scenario, and ``reschedule_online`` is
         kept only when ``adaptive``.

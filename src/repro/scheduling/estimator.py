@@ -646,6 +646,46 @@ class SLOEstimator:
         """System-wide generated-token demand (tokens/s)."""
         return self.request_rate * self.mean_output
 
+    def operating_points(
+        self,
+        z: np.ndarray,
+        prefills: List[ReplicaPerformance],
+        decodes: List[ReplicaPerformance],
+    ) -> Tuple[List[float], List[int]]:
+        """Per-replica prefill utilisation and decode operating batch implied by a routing.
+
+        ``z`` is the joint routing (``z[i, j]`` the mass sent through prefill
+        replica ``i`` and decode replica ``j``) at :attr:`request_rate`.
+
+        The implied utilisation is passed through *unclamped*: a routing that
+        overloads a prefill replica yields ``rho >= 1``, which the M/G/1
+        overload handling of :meth:`attainment_matrix` turns into zero
+        attainment for that row.  A KV-infeasible decode replica likewise
+        reports operating batch 0 and is zeroed rather than pretending to run
+        at batch 1.
+
+        The routing ``z`` is normalised before the rates are derived: the LP
+        clips routed mass to replica capacities (``z.sum() < 1`` under
+        overload), but :class:`~repro.scheduling.deployment.RoutingPolicy`
+        renormalises ``X`` to route the *full* offered rate, so the replicas'
+        real arrival rates follow the mass shares, not the capacity-clipped
+        mass.  An all-zero routing spreads the rate evenly.
+        """
+        rate = self.request_rate
+        context = self.mean_input + self.mean_output
+        total = float(z.sum())
+        m, n = z.shape
+        utilizations = []
+        for i, perf in enumerate(prefills):
+            share = float(z[i, :].sum()) / total if total > 0 else 1.0 / m
+            utilizations.append(share * rate * perf.prefill_service_s)
+        batches = []
+        for j, perf in enumerate(decodes):
+            share = float(z[:, j].sum()) / total if total > 0 else 1.0 / n
+            token_rate = share * rate * self.mean_output
+            batches.append(perf.decode_operating_batch(token_rate, context))
+        return utilizations, batches
+
     def prefill_capacity_fraction(self, perf: ReplicaPerformance) -> float:
         """Fraction of the total request rate one prefill replica can absorb."""
         return min(1.0, perf.prefill_capacity_rps / self.request_rate)

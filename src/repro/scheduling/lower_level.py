@@ -211,7 +211,7 @@ class LowerLevelSolver:
         orchestration: Optional[OrchestrationResult] = None
         d = np.zeros((len(prefills), len(decodes)))
         for _ in range(2):
-            utilizations, batches = self._operating_points(z, prefills, decodes)
+            utilizations, batches = self.estimator.operating_points(z, prefills, decodes)
             d = self.estimator.attainment_matrix(
                 prefills, decodes,
                 prefill_utilizations=utilizations,
@@ -265,48 +265,6 @@ class LowerLevelSolver:
         p = p / p.sum() if p.sum() > 0 else np.full_like(p, 1.0 / len(p))
         q = q / q.sum() if q.sum() > 0 else np.full_like(q, 1.0 / len(q))
         return np.outer(p, q)
-
-    def _operating_points(
-        self,
-        z: np.ndarray,
-        prefills: List[ReplicaPerformance],
-        decodes: List[ReplicaPerformance],
-    ) -> Tuple[List[float], List[int]]:
-        """Per-replica prefill utilisation and decode operating batch implied by a routing.
-
-        The implied utilisation is passed through *unclamped*: a routing that
-        overloads a prefill replica yields ``rho >= 1``, which the estimator's
-        M/G/1 overload handling turns into zero attainment for that row — the
-        fixed point then reroutes the mass or the plan scores what an
-        infeasible plan deserves.  (This used to be silently clamped at 0.95,
-        which made overloaded plans look ~0.95-utilised and finite-wait.)
-        A KV-infeasible decode replica likewise reports operating batch 0 and
-        is zeroed by the estimator rather than pretending to run at batch 1.
-
-        The routing ``z`` is normalised before the rates are derived: the LP
-        clips routed mass to replica capacities (``z.sum() < 1`` under
-        overload), but :class:`RoutingPolicy` renormalises ``X`` to route the
-        *full* offered rate, so the replicas' real arrival rates follow the
-        mass shares, not the capacity-clipped mass.  Deriving rho from the
-        clipped mass was the second half of the flattery: a fleet offered 1.5x
-        its capacity would report rho ~ 0.85 because the LP refused to route
-        the overflow the serving system still has to absorb.
-        """
-        rate = self.request_rate
-        mean_out = self.estimator.mean_output
-        context = self.estimator.mean_input + mean_out
-        total = float(z.sum())
-        m, n = z.shape
-        utilizations = []
-        for i, perf in enumerate(prefills):
-            share = float(z[i, :].sum()) / total if total > 0 else 1.0 / m
-            utilizations.append(share * rate * perf.prefill_service_s)
-        batches = []
-        for j, perf in enumerate(decodes):
-            share = float(z[:, j].sum()) / total if total > 0 else 1.0 / n
-            token_rate = share * rate * mean_out
-            batches.append(perf.decode_operating_batch(token_rate, context))
-        return utilizations, batches
 
     @staticmethod
     def _clip_to_capacity(

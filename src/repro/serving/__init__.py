@@ -4,7 +4,7 @@ This package is the control plane of the reproduction: the
 :class:`ThunderServe` facade that ties scheduling, serving (simulated
 execution), workload profiling and lightweight rescheduling together — the
 overall routine described in §4 and Appendix E — and the live adaptive serving
-layer: declarative SLO objectives with edge-triggered breach tracking
+layer: a fixed two-tier SLO policy with edge-triggered breach tracking
 (:mod:`repro.serving.slo_objectives`, :class:`SLOBreachTracker`) and the
 windowed :class:`LiveServer` loop with streaming per-window telemetry and
 fault replay (:mod:`repro.serving.live`).
@@ -18,17 +18,7 @@ from repro.serving.live import (
     WindowTelemetry,
     plan_signature,
 )
-from repro.serving.slo_objectives import (
-    BreachEvent,
-    ObjectiveOutcome,
-    SLOBreachTracker,
-    SLOObjective,
-    SLOReport,
-    auto_slo_config,
-    evaluate_slo_objectives,
-    infer_slo_profile,
-    resolve_slo_objectives,
-)
+from repro.serving.slo_objectives import BreachEvent, SLOBreachTracker, judge_window
 from repro.serving.system import ServeEvent, ThunderServe
 
 __all__ = [
@@ -40,13 +30,7 @@ __all__ = [
     "WindowTelemetry",
     "PlanHealth",
     "plan_signature",
-    "SLOObjective",
-    "ObjectiveOutcome",
-    "SLOReport",
     "BreachEvent",
     "SLOBreachTracker",
-    "auto_slo_config",
-    "evaluate_slo_objectives",
-    "infer_slo_profile",
-    "resolve_slo_objectives",
+    "judge_window",
 ]

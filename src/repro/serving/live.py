@@ -13,9 +13,10 @@ window it
 2. serves the window through the engine and measures a telemetry snapshot
    (:class:`WindowTelemetry` — attainment, queue wait, per-tenant breakdown,
    plan id);
-3. resolves the declarative SLO-objective config to a profile
-   (realtime/degraded, see :mod:`repro.serving.slo_objectives`), evaluates the
-   objectives, and emits edge-triggered breach events; and
+3. judges the window under the fixed two-tier SLO policy
+   (:func:`~repro.serving.slo_objectives.judge_window`: realtime or degraded
+   from the window's attainment and estimated ``rho``, then that profile's
+   objectives) and emits edge-triggered breach events; and
 4. on a breach — or a profiler-detected workload shift — triggers the §3.4
    lightweight rescheduler online, so the next window is served by a plan
    re-designated for the observed workload; and
@@ -37,7 +38,7 @@ reaction (step 4); the fault reaction follows
 without re-optimising and leaves rejoined GPUs idle.
 
 Every window — served or not — goes through one tail: measure the telemetry
-record, fill its fault fields, resolve the SLO profile, update the breach
+record, fill its fault fields, judge the SLO profile, update the breach
 tracker and fire the callbacks.  Plan changes only happen *between* windows,
 which keeps the loop auditable: replaying each window's sub-trace against its
 recorded plan — and, for windows with mid-window faults, the same compiled
@@ -62,13 +63,7 @@ from repro.faults.taxonomy import CAPACITY_LOSS_KINDS, FaultKind, FaultSchedule
 from repro.faults.timeline import FaultTimeline, compile_fault_timeline
 from repro.scheduling.deployment import DeploymentPlan, RoutingPolicy
 from repro.scheduling.estimator import SLOEstimator
-from repro.serving.slo_objectives import (
-    BreachEvent,
-    SLOBreachTracker,
-    auto_slo_config,
-    evaluate_slo_objectives,
-    resolve_slo_objectives,
-)
+from repro.serving.slo_objectives import BreachEvent, SLOBreachTracker, judge_window
 from repro.serving.system import ThunderServe
 from repro.simulation.metrics import MetricArrays, SimulationResult, merge_results
 from repro.workload.trace import Trace
@@ -137,7 +132,7 @@ class WindowTelemetry:
     end: float
     #: structural id of the plan the window was served with
     plan_id: str
-    #: SLO profile the window was judged under (``realtime`` / ``degraded`` / ...)
+    #: SLO profile the window was judged under (``realtime`` / ``degraded``)
     profile: str
     #: requests that arrived / finished in the window
     num_requests: int
@@ -174,24 +169,6 @@ class WindowTelemetry:
     #: request count per :class:`~repro.core.types.RequestOutcome` name
     #: (sums to ``num_requests``)
     outcome_counts: Dict[str, int] = field(default_factory=dict)
-
-    def snapshot(self) -> Dict[str, float]:
-        """Return the metric mapping SLO objectives are evaluated against."""
-        failed = self.outcome_counts.get("timed_out", 0) + self.outcome_counts.get(
-            "dropped_outage", 0
-        )
-        return {
-            "attainment_e2e": self.attainment_e2e,
-            "attainment_ttft": self.attainment_ttft,
-            "attainment_tpot": self.attainment_tpot,
-            "mean_queue_wait": self.mean_queue_wait,
-            "completion_rate": self.completion_rate,
-            "estimated_rho": self.estimated_rho,
-            "estimated_attainment": self.estimated_attainment,
-            "request_rate": self.request_rate,
-            "num_requests": float(self.num_requests),
-            "failed_fraction": failed / self.num_requests if self.num_requests else 0.0,
-        }
 
     def to_dict(self) -> Dict[str, object]:
         """Return the JSON-serialisable dict form of the record."""
@@ -239,10 +216,6 @@ class LiveServeConfig:
     ----------
     window_s:
         Serving window length on the time-warped clock (seconds of trace time).
-    slo_config:
-        Declarative SLO-objective config (flat or profile form, see
-        :mod:`repro.serving.slo_objectives`); defaults to
-        :func:`~repro.serving.slo_objectives.auto_slo_config`.
     reschedule_online:
         React to the workload: after each window, trigger the §3.4
         lightweight rescheduler
@@ -299,7 +272,6 @@ class LiveServeConfig:
     """
 
     window_s: float = 30.0
-    slo_config: Optional[Mapping[str, object]] = None
     reschedule_online: bool = True
     validate_reschedule: bool = True
     faults: Optional[FaultSchedule] = None
@@ -494,10 +466,10 @@ class LiveServer:
 
         Builds an M/G/1 :class:`~repro.scheduling.estimator.SLOEstimator` for
         the window's empirical workload (means and arrival rate) and prices the
-        plan's routing through it: per-prefill-replica utilisation follows the
-        routed share of the observed rate, decode operating batches follow the
-        routed token demand, and the routed attainment aggregates the pair
-        matrix exactly like the lower-level solver does.
+        plan's routing through it at the operating points
+        (:meth:`~repro.scheduling.estimator.SLOEstimator.operating_points`) the
+        lower-level solver uses; the routed attainment aggregates the pair
+        matrix exactly like the solver does.
 
         Returns
         -------
@@ -535,18 +507,8 @@ class LiveServer:
             estimator.replica_performance(plan.group(gid))
             for gid in routing.decode_group_ids
         ]
-        x = routing.x
         z = routing.joint
-        utilizations = [
-            float(x[i]) * rate * p.prefill_service_s for i, p in enumerate(prefills)
-        ]
-        context = estimator.mean_input + estimator.mean_output
-        batches = [
-            q.decode_operating_batch(
-                float(z[:, j].sum()) * rate * estimator.mean_output, context
-            )
-            for j, q in enumerate(decodes)
-        ]
+        utilizations, batches = estimator.operating_points(z, prefills, decodes)
         d = estimator.attainment_matrix(
             prefills, decodes, prefill_utilizations=utilizations, decode_batches=batches
         )
@@ -583,7 +545,7 @@ class LiveServer:
             start=start,
             end=end,
             plan_id=served_plan_id,
-            profile="",  # resolved by the caller against the SLO config
+            profile="",  # judged by the caller (judge_window)
             num_requests=result.num_requests,
             num_finished=result.num_finished,
             request_rate=result.num_requests / (end - start) if end > start else 0.0,
@@ -802,7 +764,6 @@ class LiveServer:
         """
         system = self.system
         config = self.config
-        slo_config = config.slo_config or auto_slo_config()
         system.require_plan()
         self._reset()
         if config.faults is not None and len(config.faults) > 0:
@@ -867,13 +828,15 @@ class LiveServer:
                 telemetry.num_gpus_alive = len(state.alive_gpu_ids)
                 telemetry.replan_trigger = trigger
                 notes, trigger = (), ""
-            profile, objectives = resolve_slo_objectives(slo_config, telemetry.snapshot())
-            telemetry.profile = profile
-            slo_report = evaluate_slo_objectives(
-                telemetry.snapshot(), objectives, profile=profile
+            profile, outcomes = judge_window(
+                {
+                    "attainment_e2e": telemetry.attainment_e2e,
+                    "estimated_rho": telemetry.estimated_rho,
+                }
             )
+            telemetry.profile = profile
             events = self.tracker.update(
-                slo_report, time=window_end, window_index=index, context=label
+                profile, outcomes, time=window_end, window_index=index, context=label
             )
             telemetry.breaches = tuple(events)
             for event in events:

@@ -186,3 +186,29 @@ class TestDocSnippets:
             ("repro.scheduling", removed),
             ("repro.scheduling.robust", "scenario_slo"),
         ]
+
+
+def _json_path_variables(source: str):
+    """Names of the ``*_JSON`` environment variables a bench reads with ``os.environ.get``."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "os.environ.get"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).endswith("_JSON")
+    }
+
+
+class TestBenchReportPaths:
+    def test_json_reports_take_their_path_from_repro_bench_json(self):
+        # docs/benchmarks.md regenerates every baseline with REPRO_BENCH_JSON;
+        # a bench reading another name writes to its default path instead.
+        writers = {}
+        for path in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
+            source = path.read_text()
+            if "json.dump(" in source:
+                writers[path.name] = _json_path_variables(source)
+        assert "bench_prefill_core.py" in writers
+        assert {name: {"REPRO_BENCH_JSON"} for name in writers} == writers

@@ -36,14 +36,11 @@ SMALL_SCHEDULER = SchedulerConfig(
     tabu=TabuSearchConfig(num_steps=8, num_neighbors=5, memory_size=5, patience=5), seed=0
 )
 
-#: An objective no window can satisfy: forces a breach in window 0 (and, being
-#: edge-triggered, *only* window 0), which in turn forces one online
+#: A system SLO at half the A100 reference latency: no window of the test
+#: trace meets it, so the availability objective breaches in window 0 (and,
+#: being edge-triggered, *only* window 0), which in turn forces one online
 #: rescheduling — so the equivalence run spans a real plan change.
-IMPOSSIBLE_SLO = {
-    "objectives": [
-        {"name": "availability", "metric": "attainment_e2e", "op": ">=", "target": 2.0}
-    ]
-}
+TIGHT_SLO_SCALE = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +49,16 @@ def live_trace(conversation_workload):
 
 
 @pytest.fixture(scope="module")
-def system_factory(small_hetero_cluster, model_30b, conversation_workload, relaxed_slo, small_plan):
-    """Fresh deployed systems sharing one pre-built plan (no tabu search)."""
+def system_factory(small_hetero_cluster, model_30b, conversation_workload, small_plan):
+    """Fresh deployed systems under a tight SLO sharing one pre-built plan (no tabu search)."""
+    from repro.costmodel.reference import a100_reference_latency
+
+    reference = a100_reference_latency(model_30b, conversation_workload)
+    tight_slo = reference.slo_spec(TIGHT_SLO_SCALE)
 
     def build():
         system = ThunderServe(
-            small_hetero_cluster, model_30b, conversation_workload, 3.0, slo=relaxed_slo
+            small_hetero_cluster, model_30b, conversation_workload, 3.0, slo=tight_slo
         )
         system.adopt_plan(small_plan, reason="live-serving test")
         return system
@@ -71,7 +72,6 @@ def adaptive_run(system_factory, live_trace):
     system = system_factory()
     config = LiveServeConfig(
         window_s=WINDOW_S,
-        slo_config=IMPOSSIBLE_SLO,
         reschedule_online=True,
         # Validation would (correctly) reject a candidate that does not beat a
         # healthy incumbent; this test needs the plan change to happen so the
@@ -128,8 +128,8 @@ class TestPiecewiseStaticEquivalence:
 class TestBreachTriggeredRescheduling:
     def test_breach_fires_once_and_changes_plan(self, adaptive_run):
         system, report = adaptive_run
-        # The impossible objective fails every window, but the edge-triggered
-        # tracker fires exactly once — at the first crossing.
+        # Availability fails every window under the tight SLO, but the
+        # edge-triggered tracker fires exactly once — at the first crossing.
         assert len(report.breaches) == 1
         assert report.breaches[0].window_index == 0
         assert report.breaches[0].objective == "availability"
@@ -143,13 +143,12 @@ class TestBreachTriggeredRescheduling:
     def test_validated_rescheduling_never_adopts_non_improving_plan(
         self, system_factory, live_trace
     ):
-        # Same breach pressure, but with shadow validation on: the incumbent
-        # serves the healthy trace fine, so no candidate can strictly beat it
-        # and the loop must stand still.
+        # Same breach pressure, but with shadow validation on: under the tight
+        # SLO no candidate can strictly beat the incumbent's attainment on the
+        # window just served, so the loop must stand still.
         system = system_factory()
         config = LiveServeConfig(
             window_s=WINDOW_S,
-            slo_config=IMPOSSIBLE_SLO,
             reschedule_online=True,
             validate_reschedule=True,
         )
@@ -206,7 +205,7 @@ class TestTelemetry:
         assert report.merged.num_requests == sum(w.num_requests for w in report.windows)
 
     def test_on_window_streams_same_telemetry(self, system_factory, live_trace):
-        config = LiveServeConfig(window_s=WINDOW_S, slo_config=IMPOSSIBLE_SLO)
+        config = LiveServeConfig(window_s=WINDOW_S)
         streamed, fired = [], []
         server = LiveServer(
             system_factory(), config=config, on_window=streamed.append, on_breach=fired.append
@@ -263,7 +262,8 @@ class TestInEngineFaults:
                 (ti[2:], Phase.DECODE),
             ]
         )
-        slo = a100_reference_latency(model_7b, conversation_workload).slo_spec(8.0)
+        reference = a100_reference_latency(model_7b, conversation_workload)
+        slo = reference.slo_spec(8.0)
         solver = LowerLevelSolver(
             cluster=small_hetero_cluster,
             model=model_7b,
@@ -280,10 +280,10 @@ class TestInEngineFaults:
             kv_transport_bits=solved.kv_transport_bits,
         )
 
-        def build(scheduler_config=None):
+        def build(scheduler_config=None, slo_scale=8.0):
             system = ThunderServe(
-                small_hetero_cluster, model_7b, conversation_workload, 3.0, slo=slo,
-                scheduler_config=scheduler_config,
+                small_hetero_cluster, model_7b, conversation_workload, 3.0,
+                slo=reference.slo_spec(slo_scale), scheduler_config=scheduler_config,
             )
             system.adopt_plan(plan, reason="in-engine fault test")
             return system
@@ -354,29 +354,24 @@ class TestInEngineFaults:
     ):
         """A window that installs a failure replan at its start and adapts at
         its end counts both installs, as the system's install log says."""
-        system = multi_system_factory()
+        # Under a 6x SLO window 0 passes the degraded tier's availability
+        # floor, so the objective is armed when window 1 misses the realtime one.
+        system = multi_system_factory(slo_scale=6.0)
         victims = system.require_plan().prefill_groups[0].gpu_ids
-        # Losing a prefill replica pushes the estimated utilisation past the
-        # headroom objective only once the replanned (smaller) plan serves.
-        headroom = {
-            "objectives": [
-                {"name": "headroom", "metric": "estimated_rho", "op": "<=", "target": 0.5}
-            ]
-        }
         config = LiveServeConfig(
             window_s=WINDOW_S,
-            slo_config=headroom,
             validate_reschedule=False,
             faults=FaultSchedule.from_events(
-                [FaultEvent(time=6.0, kind=FaultKind.GPU_PREEMPTION, gpu_ids=tuple(victims))]
+                [FaultEvent(time=2.0, kind=FaultKind.GPU_PREEMPTION, gpu_ids=tuple(victims))]
             ),
         )
         report = LiveServer(system, config=config).run(fault_trace, label="both")
         both = [w for w in report.windows if w.plan_changed and w.replan_trigger == "failure"]
         assert both, "the storm must produce a window with both kinds of plan change"
-        # A shift-triggered adaptation before the loss, then the failure replan
-        # and the breach adaptation of the same window.
-        assert report.num_plan_changes == system.num_plan_changes == 3
+        # The loss in window 0 replans at window 1's start; window 1 breaches
+        # and adapts at its end.
+        assert [w.index for w in both] == [1] and both[0].breaches
+        assert report.num_plan_changes == system.num_plan_changes == 2
 
     def test_events_after_last_window_are_logged_not_replanned(
         self, multi_system_factory, fault_trace

@@ -259,7 +259,7 @@ class TestLowerLevelSolver:
     def test_overcapacity_demand_scores_near_zero(self, small_hetero_cluster_mod, model_30b_mod, conversation_mod):
         """Demand beyond fleet prefill capacity must not be flattered.
 
-        The old ``min(0.95, ...)`` clamp in ``_operating_points`` (plus the
+        The old ``min(0.95, ...)`` clamp in ``operating_points`` (plus the
         LP's capacity-clipped routed mass) made an overloaded fleet look like a
         95%-utilised one, scoring ~0.9 attainment.  With the clamp gone and the
         routed shares normalised to the full offered rate, the implied
